@@ -11,7 +11,7 @@ namespace rdfspark::bench {
 namespace {
 
 std::string SystemsUsing(
-    const std::vector<std::unique_ptr<systems::RdfQueryEngine>>& engines,
+    const std::vector<std::unique_ptr<systems::BgpEngineBase>>& engines,
     systems::DataModel model) {
   std::string out;
   for (const auto& e : engines) {
@@ -23,7 +23,7 @@ std::string SystemsUsing(
 }
 
 std::string SystemsUsing(
-    const std::vector<std::unique_ptr<systems::RdfQueryEngine>>& engines,
+    const std::vector<std::unique_ptr<systems::BgpEngineBase>>& engines,
     systems::SparkAbstraction abstraction) {
   std::string out;
   for (const auto& e : engines) {

@@ -121,31 +121,26 @@ void StrategyComparisonOnBgp() {
     if (!engine.Load(store).ok()) continue;
     // Plan-shape guard: the EXPLAIN tree must show the join strategy the
     // mode is named after.
-    auto plan = engine.ExplainText(query);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "A3b: EXPLAIN failed for %s: %s\n",
-                   systems::HybridModeName(mode),
-                   plan.status().ToString().c_str());
-      std::abort();
-    }
+    const std::string plan =
+        MustExplain(&engine, query, "A3b", systems::HybridModeName(mode));
     bool shape_ok = false;
     switch (mode) {
       case systems::HybridMode::kSparkSqlNaive:
-        shape_ok = plan->find("CartesianProduct") != std::string::npos &&
-                   plan->find("PartitionedHashJoin") == std::string::npos;
+        shape_ok = plan.find("CartesianProduct") != std::string::npos &&
+                   plan.find("PartitionedHashJoin") == std::string::npos;
         break;
       case systems::HybridMode::kRddPartitioned:
-        shape_ok = plan->find("PartitionedHashJoin") != std::string::npos;
+        shape_ok = plan.find("PartitionedHashJoin") != std::string::npos;
         break;
       case systems::HybridMode::kDataFrameAuto:
       case systems::HybridMode::kHybrid:
-        shape_ok = plan->find("BroadcastJoin") != std::string::npos ||
-                   plan->find("PartitionedHashJoin") != std::string::npos;
+        shape_ok = plan.find("BroadcastJoin") != std::string::npos ||
+                   plan.find("PartitionedHashJoin") != std::string::npos;
         break;
     }
     if (!shape_ok) {
       std::fprintf(stderr, "A3b: unexpected plan shape for %s:\n%s",
-                   systems::HybridModeName(mode), plan->c_str());
+                   systems::HybridModeName(mode), plan.c_str());
       std::abort();
     }
     QueryRun run = RunQuery(&engine, query);

@@ -85,7 +85,7 @@ void BM_Shape(benchmark::State& state, const std::string& engine_kind,
               rdf::QueryShape shape) {
   rdf::TripleStore store = MakeLubmStore(1);
   spark::SparkContext sc(DefaultCluster());
-  std::unique_ptr<systems::RdfQueryEngine> engine;
+  std::unique_ptr<systems::BgpEngineBase> engine;
   if (engine_kind == "sparqlgx") {
     engine = std::make_unique<systems::SparqlgxEngine>(&sc);
   } else if (engine_kind == "s2rdf") {

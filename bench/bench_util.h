@@ -76,6 +76,23 @@ inline double WallMs(const std::function<void()>& fn) {
       .count();
 }
 
+/// EXPLAIN of `text` on `engine`: the plan tree Inspect builds, rendered.
+/// Aborts (reporting `section` / `label`) when the query does not plan —
+/// a caller's plan-shape guard would otherwise pass vacuously.
+inline std::string MustExplain(systems::BgpEngineBase* engine,
+                               const std::string& text, const char* section,
+                               const std::string& label) {
+  auto query = sparql::ParseQuery(text);
+  auto inspected = query.ok() ? engine->Inspect(*query, /*tiers=*/0)
+                              : Result<systems::Inspection>(query.status());
+  if (!inspected.ok()) {
+    std::fprintf(stderr, "%s: EXPLAIN failed for %s: %s\n", section,
+                 label.c_str(), inspected.status().ToString().c_str());
+    std::abort();
+  }
+  return systems::plan::Explain(*inspected->plan);
+}
+
 /// Result of one measured query execution.
 struct QueryRun {
   uint64_t rows = 0;
@@ -85,7 +102,7 @@ struct QueryRun {
   std::string error;
 };
 
-inline QueryRun RunQuery(systems::RdfQueryEngine* engine,
+inline QueryRun RunQuery(systems::BgpEngineBase* engine,
                          const std::string& text) {
   QueryRun run;
   auto query = sparql::ParseQuery(text);

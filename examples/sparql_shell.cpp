@@ -1,25 +1,25 @@
-// An interactive SPARQL shell over any of the nine reproduced engines.
+// An interactive SPARQL shell over any of the twelve engine variants.
 //
 //   $ ./sparql_shell data.nt [engine]
 //   sparql> SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }
 //   sparql>                                   (blank line executes)
 //
-// Engines: haqwa sparqlgx s2rdf hybrid s2x graphxsm sparkql graphframes
-// sparkrdf (default: s2rdf).
+// Engines are the variant names every tool uses (systems::
+// AllEngineVariantFactories(), matched case-insensitively; `.engines`
+// lists them; default: S2RDF).
 // Dot-commands: .engines .metrics .stats .explain .lint .lineage
 // .analyze .profile .trace .quit
 // `.metrics prom` prints the same Metrics snapshot in Prometheus text
 // exposition format (what a scrape of the serving layer would see).
 // `.explain` prints the engine's physical plan (EXPLAIN) for the query
 // currently buffered at the prompt, without executing it.
-// `.lint [tiers]` runs the tiered static lint over the buffered query:
-// tier A (QA rules, pure AST), tier B (plan verifier SC/CP/BC/ST/VP
-// rules), tier D (resource envelope RS rules + per-stage byte envelope,
-// see systems/plan/resource.h) — all without executing — then tier C,
-// which executes once inside a happens-before recorder window and
-// appends the race & determinism findings (RC/DT rules, see spark/hb.h).
-// With no argument all four tiers run; `.lint A,B,D` (or `.lint bd`)
-// selects a subset.
+// `.lint [tiers]` runs the dataflow lint over the buffered query, with the
+// tier alphabet dataflow_lint uses: A (QA rules, pure AST), P (plan
+// verifier SC/CP/BC/ST/VP rules, pure), B (lineage LN rules), C (races,
+// RC/DT rules, see spark/hb.h) and D (resource envelope RS rules +
+// per-stage byte envelope, see systems/plan/resource.h). B, C and D share
+// one execution of the query's BGP. With no argument all five tiers run;
+// `.lint A,P,D` (or `.lint apd`) selects a subset.
 // `.lineage` *executes* the buffered query's BGP, snapshots the RDD
 // lineage DAG it built, and prints the lineage analyzer's findings
 // (LN rules: uncached reuse, redundant shuffle, deep shuffle chains)
@@ -36,6 +36,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -46,37 +47,48 @@
 #include "spark/context.h"
 #include "sparql/parser.h"
 #include "systems/engine.h"
-#include "systems/graphframes_engine.h"
-#include "systems/graphx_sm.h"
-#include "systems/haqwa.h"
-#include "systems/hybrid.h"
-#include "systems/s2rdf.h"
-#include "systems/s2x.h"
-#include "systems/sparkql.h"
-#include "systems/sparkrdf.h"
-#include "systems/sparqlgx.h"
+#include "systems/plan/analyze.h"
 
 namespace {
 
 using namespace rdfspark;
 
-std::unique_ptr<systems::RdfQueryEngine> MakeEngine(
-    const std::string& name, spark::SparkContext* sc) {
-  if (name == "haqwa") return std::make_unique<systems::HaqwaEngine>(sc);
-  if (name == "sparqlgx") return std::make_unique<systems::SparqlgxEngine>(sc);
-  if (name == "s2rdf") return std::make_unique<systems::S2rdfEngine>(sc);
-  if (name == "hybrid") return std::make_unique<systems::HybridEngine>(sc);
-  if (name == "s2x") return std::make_unique<systems::S2xEngine>(sc);
-  if (name == "graphxsm") return std::make_unique<systems::GraphxSmEngine>(sc);
-  if (name == "sparkql") return std::make_unique<systems::SparkqlEngine>(sc);
-  if (name == "graphframes") {
-    return std::make_unique<systems::GraphFramesEngine>(sc);
+/// The variant whose name matches `name` case-insensitively, or null.
+std::unique_ptr<systems::BgpEngineBase> MakeEngine(const std::string& name,
+                                                   spark::SparkContext* sc) {
+  for (const auto& factory : systems::AllEngineVariantFactories()) {
+    if (AsciiToLower(factory.name) == AsciiToLower(name)) {
+      return factory.make(sc);
+    }
   }
-  if (name == "sparkrdf") return std::make_unique<systems::SparkRdfEngine>(sc);
   return nullptr;
 }
 
-void RunQuery(systems::RdfQueryEngine* engine, const rdf::TripleStore& store,
+std::string EngineNames() {
+  std::string out;
+  for (const auto& factory : systems::AllEngineVariantFactories()) {
+    if (!out.empty()) out += ' ';
+    out += factory.name;
+  }
+  return out;
+}
+
+/// Parses the buffered query and inspects it for `tiers`; prints and
+/// returns nullopt on failure.
+std::optional<systems::Inspection> InspectPending(
+    systems::BgpEngineBase* engine, const std::string& pending,
+    systems::Tiers tiers) {
+  auto query = sparql::ParseQuery(pending);
+  auto inspected = query.ok() ? engine->Inspect(*query, tiers)
+                              : Result<systems::Inspection>(query.status());
+  if (!inspected.ok()) {
+    std::printf("error: %s\n", inspected.status().ToString().c_str());
+    return std::nullopt;
+  }
+  return std::move(inspected).value();
+}
+
+void RunQuery(systems::BgpEngineBase* engine, const rdf::TripleStore& store,
               const std::string& text) {
   auto parsed = sparql::ParseQuery(text);
   if (!parsed.ok()) {
@@ -129,10 +141,8 @@ void RunQuery(systems::RdfQueryEngine* engine, const rdf::TripleStore& store,
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: %s <data.nt> [engine]\n"
-                 "engines: haqwa sparqlgx s2rdf hybrid s2x graphxsm sparkql "
-                 "graphframes sparkrdf\n",
-                 argv[0]);
+                 "usage: %s <data.nt> [engine]\nengines: %s\n", argv[0],
+                 EngineNames().c_str());
     return 2;
   }
   std::ifstream in(argv[1]);
@@ -156,10 +166,11 @@ int main(int argc, char** argv) {
   cluster.num_executors = 4;
   cluster.default_parallelism = 8;
   spark::SparkContext sc(cluster);
-  std::string engine_name = argc > 2 ? argv[2] : "s2rdf";
+  std::string engine_name = argc > 2 ? argv[2] : "S2RDF";
   auto engine = MakeEngine(engine_name, &sc);
   if (!engine) {
-    std::fprintf(stderr, "unknown engine '%s'\n", engine_name.c_str());
+    std::fprintf(stderr, "unknown engine '%s' (engines: %s)\n",
+                 engine_name.c_str(), EngineNames().c_str());
     return 2;
   }
   auto load = engine->Load(store);
@@ -183,128 +194,69 @@ int main(int argc, char** argv) {
   while (std::getline(std::cin, line)) {
     std::string trimmed(TrimWhitespace(line));
     if (trimmed == ".quit" || trimmed == ".exit") break;
+    bool inspects = trimmed == ".explain" || trimmed == ".lint" ||
+                    trimmed.rfind(".lint ", 0) == 0 ||
+                    trimmed == ".lineage" || trimmed == ".analyze";
     if (trimmed == ".engines") {
-      std::printf(
-          "haqwa sparqlgx s2rdf hybrid s2x graphxsm sparkql graphframes "
-          "sparkrdf\n");
+      std::printf("%s\n", EngineNames().c_str());
+    } else if (inspects && TrimWhitespace(pending).empty()) {
+      std::printf("usage: type a query first (don't run it), then %s\n",
+                  trimmed.c_str());
     } else if (trimmed == ".explain") {
-      if (TrimWhitespace(pending).empty()) {
-        std::printf(
-            "usage: type a query first (don't run it), then .explain\n");
-      } else {
-        auto explained = engine->ExplainText(pending);
-        if (explained.ok()) {
-          std::printf("%s", explained->c_str());
-        } else {
-          std::printf("error: %s\n", explained.status().ToString().c_str());
-        }
+      if (auto inspected = InspectPending(engine.get(), pending, 0)) {
+        std::printf("%s", systems::plan::Explain(*inspected->plan).c_str());
       }
     } else if (trimmed == ".lint" || trimmed.rfind(".lint ", 0) == 0) {
-      if (TrimWhitespace(pending).empty()) {
-        std::printf("usage: type a query first (don't run it), then .lint\n");
-      } else {
-        // `.lint` runs every tier; `.lint A,B,D` (or `.lint bd`) a subset.
-        std::string arg = trimmed.size() > 5
-                              ? std::string(TrimWhitespace(trimmed.substr(5)))
-                              : std::string();
-        bool tier[4] = {arg.empty(), arg.empty(), arg.empty(), arg.empty()};
-        bool arg_ok = true;
-        for (char c : arg) {
-          char u = (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A')
-                                          : c;
-          if (u == ',' || u == ' ') continue;
-          if (u >= 'A' && u <= 'D') {
-            tier[u - 'A'] = true;
-          } else {
-            arg_ok = false;
-            break;
-          }
+      // `.lint` runs every tier; `.lint A,P,D` (or `.lint apd`) a subset.
+      std::string arg(TrimWhitespace(trimmed.substr(5)));
+      auto tiers = arg.empty() ? Result<systems::Tiers>(systems::kAllTiers)
+                               : systems::ParseTiers(arg);
+      if (!tiers.ok()) {
+        std::printf("usage: .lint [tiers], e.g. `.lint A,P,D`; tiers are "
+                    "A (query), P (plan), B (lineage), C (races), "
+                    "D (resources)\n");
+      } else if (auto inspected =
+                     InspectPending(engine.get(), pending, *tiers)) {
+        std::vector<systems::plan::Diagnostic> diags;
+        for (auto* tier :
+             {&inspected->query_findings, &inspected->plan_findings,
+              &inspected->lineage_findings, &inspected->race_findings}) {
+          for (auto& d : *tier) diags.push_back(std::move(d));
         }
-        auto* bgp_engine =
-            dynamic_cast<systems::BgpEngineBase*>(engine.get());
-        if (!arg_ok) {
-          std::printf("usage: .lint [tiers], e.g. `.lint A,B,D`; tiers are "
-                      "A (query), B (plan), C (races), D (resources)\n");
-        } else if (bgp_engine == nullptr) {
-          std::printf("error: engine does not expose the tiered lint\n");
-        } else {
-          std::vector<systems::plan::Diagnostic> diags;
-          std::string envelope;
-          bool failed = false;
-          if (tier[0]) {
-            auto analyzed = bgp_engine->AnalyzeQueryText(pending);
-            if (analyzed.ok()) {
-              for (auto& d : *analyzed) diags.push_back(std::move(d));
-            } else {
-              std::printf("tier A error: %s\n",
-                          analyzed.status().ToString().c_str());
-              failed = true;
-            }
+        std::string envelope;
+        if (inspected->resources) {
+          for (auto& d : inspected->resources->findings) {
+            diags.push_back(std::move(d));
           }
-          if (tier[1]) {
-            auto linted = bgp_engine->LintQuery(pending);
-            if (linted.ok()) {
-              for (auto& d : *linted) diags.push_back(std::move(d));
-            } else {
-              std::printf("tier B error: %s\n",
-                          linted.status().ToString().c_str());
-              failed = true;
-            }
-          }
-          if (tier[3]) {
-            auto analysis = bgp_engine->ResourceEnvelope(pending);
-            if (analysis.ok()) {
-              for (auto& d : analysis->findings) diags.push_back(std::move(d));
-              envelope = systems::plan::RenderEnvelope(*analysis);
-            } else {
-              std::printf("tier D error: %s\n",
-                          analysis.status().ToString().c_str());
-              failed = true;
-            }
-          }
-          if (!failed && (tier[0] || tier[1] || tier[3])) {
-            std::printf("%s%s",
-                        systems::plan::RenderDiagnostics(std::move(diags))
-                            .c_str(),
-                        envelope.c_str());
-          }
-          if (!failed && tier[2]) {
-            auto raced = bgp_engine->RaceCheckText(pending);
-            if (raced.ok()) {
-              std::printf("tier C (happens-before):\n%s", raced->c_str());
-            } else {
-              std::printf("tier C error: %s\n",
-                          raced.status().ToString().c_str());
-            }
-          }
+          envelope = systems::plan::RenderEnvelope(*inspected->resources);
         }
+        std::printf("%s%s",
+                    systems::plan::RenderDiagnostics(std::move(diags)).c_str(),
+                    envelope.c_str());
       }
     } else if (trimmed == ".lineage") {
-      if (TrimWhitespace(pending).empty()) {
-        std::printf(
-            "usage: type a query first (don't run it), then .lineage\n");
-      } else if (auto* bgp_engine =
-                     dynamic_cast<systems::BgpEngineBase*>(engine.get())) {
-        auto lineage = bgp_engine->LineageText(pending);
-        if (lineage.ok()) {
-          std::printf("%s", lineage->c_str());
+      if (auto inspected = InspectPending(engine.get(), pending,
+                                          systems::kTierLineage)) {
+        if (inspected->lineage->nodes().empty()) {
+          std::printf("no RDD-backed lineage (engine executes through "
+                      "another abstraction)\n");
         } else {
-          std::printf("error: %s\n", lineage.status().ToString().c_str());
+          std::printf("%s%s",
+                      systems::plan::RenderDiagnostics(
+                          std::move(inspected->lineage_findings))
+                          .c_str(),
+                      inspected->lineage->ToDot().c_str());
         }
-      } else {
-        std::printf("error: engine does not expose RDD lineage\n");
       }
     } else if (trimmed == ".analyze") {
-      if (TrimWhitespace(pending).empty()) {
-        std::printf(
-            "usage: type a query first (don't run it), then .analyze\n");
+      auto query = sparql::ParseQuery(pending);
+      auto analyzed = query.ok()
+                          ? engine->ExecuteAnalyzed(*query)
+                          : Result<systems::plan::PlanPtr>(query.status());
+      if (analyzed.ok()) {
+        std::printf("%s", systems::plan::ExplainAnalyze(**analyzed).c_str());
       } else {
-        auto analyzed = engine->ExplainAnalyzeText(pending);
-        if (analyzed.ok()) {
-          std::printf("%s", analyzed->c_str());
-        } else {
-          std::printf("error: %s\n", analyzed.status().ToString().c_str());
-        }
+        std::printf("error: %s\n", analyzed.status().ToString().c_str());
       }
     } else if (trimmed == ".profile") {
       if (sc.tracer().event_count() == 0) {

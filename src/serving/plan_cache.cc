@@ -36,8 +36,7 @@ std::shared_ptr<const systems::plan::PlanNode> PlanCache::Get(
 
 void PlanCache::Put(const std::string& engine,
                     const std::string& normalized_query, uint64_t epoch,
-                    std::shared_ptr<const systems::plan::PlanNode> plan,
-                    uint64_t envelope_bytes) {
+                    std::shared_ptr<const systems::plan::PlanNode> plan) {
   std::string key = MakeKey(engine, normalized_query, epoch);
   hb::TrackedLock lock(mu_);
   hb::RecordAccess(hb::PlanCacheObject(HbId()), hb::Access::kWrite,
@@ -49,17 +48,10 @@ void PlanCache::Put(const std::string& engine,
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{std::move(key), epoch, std::move(plan),
-                        envelope_bytes});
+  lru_.push_front(Entry{std::move(key), epoch, std::move(plan)});
   index_.emplace(lru_.front().key, lru_.begin());
-  resident_bytes_ += envelope_bytes;
-  // Evict by bytes first (the primary budget), entries as the backstop;
-  // the just-inserted front entry is never evicted.
-  while (lru_.size() > 1 &&
-         (lru_.size() > capacity_ ||
-          (byte_budget_ != 0 && resident_bytes_ > byte_budget_))) {
-    resident_bytes_ -= lru_.back().envelope_bytes;
-    stats_.evicted_bytes += lru_.back().envelope_bytes;
+  // The just-inserted front entry is never evicted.
+  while (lru_.size() > 1 && lru_.size() > capacity_) {
     index_.erase(lru_.back().key);
     lru_.pop_back();
     ++stats_.evictions;
@@ -80,7 +72,6 @@ void PlanCache::InvalidateExcept(uint64_t epoch) {
                    "PlanCache::InvalidateExcept");
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (it->epoch != epoch) {
-      resident_bytes_ -= it->envelope_bytes;
       index_.erase(it->key);
       it = lru_.erase(it);
       ++stats_.invalidations;
@@ -97,7 +88,6 @@ PlanCacheStats PlanCache::stats() const {
                    "PlanCache::stats");
   PlanCacheStats out = stats_;
   out.entries = lru_.size();
-  out.resident_bytes = resident_bytes_;
   return out;
 }
 

@@ -25,10 +25,6 @@ struct PlanCacheStats {
   uint64_t evictions = 0;
   uint64_t invalidations = 0;  ///< Entries dropped by epoch change.
   uint64_t entries = 0;        ///< Current resident entries.
-  /// Sum of the resident entries' static envelope bytes (Tier D peak
-  /// envelope charged at insert; 0 for plans with no bounded envelope).
-  uint64_t resident_bytes = 0;
-  uint64_t evicted_bytes = 0;  ///< Envelope bytes reclaimed by eviction.
 };
 
 /// Shared cache of verified physical plans, keyed by
@@ -48,17 +44,11 @@ struct PlanCacheStats {
 /// (ReusablePlans() == false) must never be inserted — callers route them
 /// through RecordBypass instead.
 ///
-/// Thread-safe; eviction is LRU, bounded two ways: a fixed entry capacity
-/// (the legacy backstop) and, when `byte_budget` is non-zero, the sum of
-/// the cached plans' static peak envelopes (Tier D, charged at insert).
-/// The byte budget is the primary bound — a cache full of small star
-/// lookups holds many more plans than one full of wide snowflake joins —
-/// and the most recently inserted entry is never evicted, so one
-/// over-budget plan still caches rather than thrashing.
+/// Thread-safe; eviction is LRU over a fixed entry capacity — the same
+/// model the telemetry sink's logical cache replays.
 class PlanCache {
  public:
-  explicit PlanCache(size_t capacity = 256, uint64_t byte_budget = 0)
-      : capacity_(capacity), byte_budget_(byte_budget) {}
+  explicit PlanCache(size_t capacity = 256) : capacity_(capacity) {}
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -69,12 +59,9 @@ class PlanCache {
       uint64_t epoch);
 
   /// Inserts (refreshing LRU position if the key raced another insert).
-  /// `envelope_bytes` is the plan's static peak envelope, charged against
-  /// the byte budget while the entry stays resident; pass 0 when the
-  /// envelope is unbounded (the entry then only counts against capacity).
   void Put(const std::string& engine, const std::string& normalized_query,
-           uint64_t epoch, std::shared_ptr<const systems::plan::PlanNode> plan,
-           uint64_t envelope_bytes = 0);
+           uint64_t epoch,
+           std::shared_ptr<const systems::plan::PlanNode> plan);
 
   /// Counts a request that bypassed the cache entirely.
   void RecordBypass();
@@ -85,14 +72,12 @@ class PlanCache {
   PlanCacheStats stats() const;
 
   size_t capacity() const { return capacity_; }
-  uint64_t byte_budget() const { return byte_budget_; }
 
  private:
   struct Entry {
     std::string key;
     uint64_t epoch;
     std::shared_ptr<const systems::plan::PlanNode> plan;
-    uint64_t envelope_bytes = 0;
   };
 
   static std::string MakeKey(const std::string& engine,
@@ -103,8 +88,6 @@ class PlanCache {
   int64_t HbId() const;
 
   size_t capacity_;
-  uint64_t byte_budget_;
-  uint64_t resident_bytes_ = 0;  ///< Guarded by mu_.
   mutable std::mutex mu_;
   /// Front = most recently used.
   std::list<Entry> lru_;

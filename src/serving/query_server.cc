@@ -52,7 +52,7 @@ const RequestResult& QueryServer::Ticket::Wait() {
 QueryServer::QueryServer(spark::SparkContext* sc, Options options)
     : sc_(sc),
       options_(options),
-      cache_(options.plan_cache_capacity, options.plan_cache_byte_budget) {
+      cache_(options.plan_cache_capacity) {
   if (options_.worker_threads < 1) options_.worker_threads = 1;
   if (options_.telemetry) {
     // The logical cache model must mirror the physical cache's capacity,
@@ -337,8 +337,9 @@ RequestResult QueryServer::Process(const Request& request,
 
   // Admission: Tier A analysis once per request, before any planning.
   if (options_.verify_queries) {
-    std::vector<systems::plan::Diagnostic> errors =
-        systems::plan::ErrorsOnly(engine->AnalyzeParsedQuery(query));
+    // Tier A alone neither plans nor executes, so Inspect cannot fail here.
+    std::vector<systems::plan::Diagnostic> errors = systems::plan::ErrorsOnly(
+        engine->Inspect(query, systems::kTierQuery)->query_findings);
     if (!errors.empty()) {
       result.status = Status::InvalidArgument(
           "admission rejected:\n" +
@@ -363,7 +364,10 @@ RequestResult QueryServer::Process(const Request& request,
     uint64_t epoch = dataset_epoch();
     rec->epoch = epoch;
     std::shared_ptr<const systems::plan::PlanNode> plan;
-    bool cacheable = engine->ReusablePlans();
+    // The fragment is decided before the lookup, so a request outside it
+    // counts once, as a bypass, never also as a miss.
+    bool cacheable =
+        engine->ReusablePlans() && systems::PlansAsOneBgp(query);
     std::string normalized;
     if (cacheable) {
       normalized = sparql::ToSparql(query);
@@ -415,13 +419,10 @@ RequestResult QueryServer::Process(const Request& request,
         std::shared_ptr<const systems::plan::PlanNode> fresh(
             std::move(planned).value());
         // Insert before the gate: the plan itself is valid (another
-        // tenant with a different budget could execute it), and its
-        // envelope is exactly the byte charge the cache evicts by.
-        systems::plan::ResourceAnalysis envelope =
-            engine->AnalyzePlanResources(query, *fresh);
-        cache_.Put(request.variant, normalized, epoch, fresh,
-                   envelope.bounded ? envelope.peak_bytes : 0);
-        Status admitted = budget_check(envelope);
+        // tenant with a different budget could execute it).
+        cache_.Put(request.variant, normalized, epoch, fresh);
+        Status admitted =
+            budget_check(engine->AnalyzePlanResources(query, *fresh));
         if (!admitted.ok()) {
           result.status = admitted;
           result.rejected = true;
@@ -435,24 +436,14 @@ RequestResult QueryServer::Process(const Request& request,
           return result;
         }
         table = std::move(executed).value();
-      } else if (planned.status().code() == StatusCode::kUnsupported) {
-        // Outside the cacheable fragment (group patterns, aggregates):
-        // the ordinary Execute path handles it.
-        result.cache_bypass = true;
-        cache_.RecordBypass();
-        auto executed = engine->Execute(query);
-        if (!executed.ok()) {
-          result.status = executed.status();
-          return result;
-        }
-        table = std::move(executed).value();
       } else {
         // Planning itself failed (including plan-verifier rejections).
         result.status = planned.status();
         return result;
       }
     } else {
-      // Single-use-plan engine (S2X): never cache, execute directly.
+      // Single-use-plan engine (S2X) or a query outside the cacheable
+      // fragment (group patterns, aggregates): the ordinary Execute path.
       result.cache_bypass = true;
       cache_.RecordBypass();
       auto executed = engine->Execute(query);

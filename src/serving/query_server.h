@@ -120,10 +120,6 @@ class QueryServer {
     /// the bit-identity tests compare against.
     int worker_threads = 4;
     size_t plan_cache_capacity = 256;
-    /// Byte budget for the plan cache: cached plans are charged their
-    /// static peak envelope and evicted LRU when the sum exceeds this.
-    /// 0 = entries-only eviction (the capacity backstop still applies).
-    uint64_t plan_cache_byte_budget = 0;
     /// Tier D admission gate: reject a request before execution when its
     /// plan's static peak envelope (bounded) exceeds this many bytes.
     /// Defaults to the RDFSPARK_MEMORY_BUDGET environment variable

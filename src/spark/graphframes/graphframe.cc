@@ -185,8 +185,16 @@ Result<sql::DataFrame> GraphFrame::Bfs(const sql::Expr& from,
   }
   DataFrame paths = vertices_.Filter(from).Rename(start_names);
 
+  // Column "v<hop>" / prefix "e<hop>", built by append: GCC 12 at -O3
+  // raises a -Werror=restrict false positive on an inlined
+  // `"v" + std::to_string(hop)`.
+  auto hop_column = [](char kind, int hop) {
+    std::string name(1, kind);
+    name += std::to_string(hop);
+    return name;
+  };
   for (int hop = 0; hop <= max_hops; ++hop) {
-    std::string last = "v" + std::to_string(hop);
+    std::string last = hop_column('v', hop);
     // Hit test: any path ending in a `to` vertex?
     DataFrame hits = paths.Join(to_ids, {{last, "__to"}});
     if (hits.NumRows() > 0) {
@@ -198,7 +206,7 @@ Result<sql::DataFrame> GraphFrame::Bfs(const sql::Expr& from,
     }
     if (hop == max_hops) break;
     // Extend every path by one edge.
-    std::string next = "v" + std::to_string(hop + 1);
+    std::string next = hop_column('v', hop + 1);
     std::vector<std::string> edge_names;
     for (const auto& f : edges_.schema().fields()) {
       if (f.name == "src") {
@@ -206,7 +214,7 @@ Result<sql::DataFrame> GraphFrame::Bfs(const sql::Expr& from,
       } else if (f.name == "dst") {
         edge_names.push_back(next);
       } else {
-        edge_names.push_back("e" + std::to_string(hop) + "." + f.name);
+        edge_names.push_back(hop_column('e', hop) + "." + f.name);
       }
     }
     paths = paths.Join(edges_.Rename(edge_names), {{last, "__src"}});

@@ -196,10 +196,18 @@ std::string Expr::ToString() const {
       return node_->column;
     case ExprKind::kLiteral:
       return ValueToString(node_->literal);
-    case ExprKind::kNot:
-      return "NOT (" + node_->children[0].ToString() + ")";
-    case ExprKind::kIsNull:
-      return "(" + node_->children[0].ToString() + " IS NULL)";
+    // One buffer plus append: GCC 12 at -O3 raises a -Werror=restrict
+    // false positive on the inlined chains of `const char* + std::string`.
+    case ExprKind::kNot: {
+      std::string out = "NOT (";
+      out.append(node_->children[0].ToString()).append(")");
+      return out;
+    }
+    case ExprKind::kIsNull: {
+      std::string out = "(";
+      out.append(node_->children[0].ToString()).append(" IS NULL)");
+      return out;
+    }
     default: {
       const char* op = "?";
       switch (node_->kind) {
@@ -216,8 +224,14 @@ std::string Expr::ToString() const {
         case ExprKind::kMul: op = "*"; break;
         default: break;
       }
-      return "(" + node_->children[0].ToString() + " " + op + " " +
-             node_->children[1].ToString() + ")";
+      std::string out = "(";
+      out.append(node_->children[0].ToString())
+          .append(" ")
+          .append(op)
+          .append(" ")
+          .append(node_->children[1].ToString())
+          .append(")");
+      return out;
     }
   }
 }

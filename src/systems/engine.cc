@@ -5,8 +5,10 @@
 #include <limits>
 
 #include "spark/hb.h"
+#include "spark/sql/dataframe.h"
 #include "sparql/eval.h"
 #include "sparql/parser.h"
+#include "systems/batch.h"
 #include "systems/plan/analyze.h"
 #include "systems/graphframes_engine.h"
 #include "systems/graphx_sm.h"
@@ -19,6 +21,49 @@
 #include "systems/sparqlgx.h"
 
 namespace rdfspark::systems {
+
+namespace {
+
+// Row counters for the payload representations shared by several engines.
+// They live here, beside every analyzed run, so any binary that links an
+// engine has them; engines with TU-local payload types register their own
+// (see plan/analyze.h).
+// Batch payloads: one IdTable (or keyed batch / per-vertex table) per
+// partition element; rows out is the sum of batch sizes.
+const plan::BatchPayloadRowCounterRegistration<
+    sparql::IdTable, uint64_t (*)(const sparql::IdTable&)>
+    kBatchRdd(+[](const sparql::IdTable& b) -> uint64_t { return b.size(); });
+const plan::BatchPayloadRowCounterRegistration<
+    KeyedBatch, uint64_t (*)(const KeyedBatch&)>
+    kKeyedBatchRdd(
+        +[](const KeyedBatch& b) -> uint64_t { return b.rows.size(); });
+const plan::BatchPayloadRowCounterRegistration<
+    std::pair<int64_t, sparql::IdTable>,
+    uint64_t (*)(const std::pair<int64_t, sparql::IdTable>&)>
+    kVertexBatchRdd(+[](const std::pair<int64_t, sparql::IdTable>& kv)
+                        -> uint64_t { return kv.second.size(); });
+
+struct DriverPayloadRegistration {
+  DriverPayloadRegistration() {
+    // Driver-side flat tables (SparkRDF's collected intermediates).
+    plan::RegisterPayloadRowCounter(
+        [](const plan::PlanPayload& payload) -> std::optional<uint64_t> {
+          const auto* rows = std::any_cast<sparql::IdTable>(&payload);
+          if (rows == nullptr) return std::nullopt;
+          return rows->size();
+        });
+    // DataFrames are eager; NumRows just sums batch sizes.
+    plan::RegisterPayloadRowCounter(
+        [](const plan::PlanPayload& payload) -> std::optional<uint64_t> {
+          const auto* df = std::any_cast<spark::sql::DataFrame>(&payload);
+          if (df == nullptr || !df->valid()) return std::nullopt;
+          return df->NumRows();
+        });
+  }
+};
+const DriverPayloadRegistration kDriverPayloads;
+
+}  // namespace
 
 const char* SparkAbstractionName(SparkAbstraction a) {
   switch (a) {
@@ -108,26 +153,47 @@ uint64_t StarScanBound(const rdf::Dictionary& dict,
   return best;
 }
 
-Result<sparql::BindingTable> RdfQueryEngine::ExecuteText(
-    std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  return Execute(query);
+Result<Tiers> ParseTiers(std::string_view text) {
+  Tiers tiers = 0;
+  for (char c : text) {
+    switch (c) {
+      case ',':
+      case ' ':
+        break;
+      case 'A': case 'a': tiers |= kTierQuery; break;
+      case 'P': case 'p': tiers |= kTierPlan; break;
+      case 'B': case 'b': tiers |= kTierLineage; break;
+      case 'C': case 'c': tiers |= kTierRaces; break;
+      case 'D': case 'd': tiers |= kTierResources; break;
+      default:
+        return Status::InvalidArgument("invalid tier list '" +
+                                       std::string(text) +
+                                       "' (tiers are A, P, B, C, D)");
+    }
+  }
+  if (tiers == 0) {
+    return Status::InvalidArgument("empty tier list (tiers are A, P, B, C, D)");
+  }
+  return tiers;
 }
 
-Result<std::string> RdfQueryEngine::ExplainText(std::string_view) {
-  return Status::Unsupported(traits().name + ": EXPLAIN not supported");
+std::string TierLetters(Tiers tiers) {
+  std::string out;
+  if (tiers & kTierQuery) out += 'A';
+  if (tiers & kTierPlan) out += 'P';
+  if (tiers & kTierLineage) out += 'B';
+  if (tiers & kTierRaces) out += 'C';
+  if (tiers & kTierResources) out += 'D';
+  return out;
 }
 
-Result<std::string> RdfQueryEngine::LintText(std::string_view) {
-  return Status::Unsupported(traits().name + ": LINT not supported");
+bool PlansAsOneBgp(const sparql::Query& query) {
+  return (query.form == sparql::QueryForm::kSelect ||
+          query.form == sparql::QueryForm::kAsk) &&
+         query.where.IsPlainBgp() && !query.IsAggregate();
 }
 
-Result<std::string> RdfQueryEngine::ExplainAnalyzeText(std::string_view) {
-  return Status::Unsupported(traits().name +
-                             ": EXPLAIN ANALYZE not supported");
-}
-
-BgpEngineBase::BgpEngineBase(spark::SparkContext* sc) : RdfQueryEngine(sc) {
+BgpEngineBase::BgpEngineBase(spark::SparkContext* sc) : sc_(sc) {
   // Engines are constructed on the driver before any pooled task can run,
   // and nothing in this process calls setenv, so these reads cannot race.
   // NOLINTBEGIN(concurrency-mt-unsafe)
@@ -140,79 +206,73 @@ BgpEngineBase::BgpEngineBase(spark::SparkContext* sc) : RdfQueryEngine(sc) {
   // NOLINTEND(concurrency-mt-unsafe)
 }
 
+Result<sparql::BindingTable> BgpEngineBase::ExecuteText(
+    std::string_view text) {
+  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
+  return Execute(query);
+}
+
 sparql::QueryAnalysisOptions BgpEngineBase::AnalysisOptions() const {
   sparql::QueryAnalysisOptions options;
   options.vertical_partitioned = VerifyProfile().vertical_partitioned;
   return options;
 }
 
-Result<std::vector<plan::Diagnostic>> BgpEngineBase::AnalyzeQueryText(
-    std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  return sparql::AnalyzeQuery(query, AnalysisOptions());
-}
-
-Result<spark::LineageGraph> BgpEngineBase::CaptureLineage(
-    std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
+Status BgpEngineBase::RunAnalyzed(
+    const plan::PlanNode& root, std::optional<spark::LineageGraph>* lineage) {
   plan::PlanExecutor executor(sc_, /*collect_actuals=*/true);
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::BindingTable table, executor.Run(*root));
-  (void)table;  // The lineage snapshot is the output.
-  std::vector<const spark::RddNodeBase*> roots;
-  roots.reserve(executor.lineage_roots().size());
-  for (const auto& node : executor.lineage_roots()) {
-    roots.push_back(node.get());
+  // Results are discarded; the annotated plan (and lineage) is the output.
+  RDFSPARK_RETURN_NOT_OK(executor.Run(root).status());
+  if (lineage != nullptr) {
+    std::vector<const spark::RddNodeBase*> roots;
+    roots.reserve(executor.lineage_roots().size());
+    for (const auto& node : executor.lineage_roots()) {
+      roots.push_back(node.get());
+    }
+    lineage->emplace(spark::LineageGraph::Capture(roots));
   }
-  return spark::LineageGraph::Capture(roots);
+  return Status::OK();
 }
 
-Result<std::string> BgpEngineBase::LineageText(std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(spark::LineageGraph graph, CaptureLineage(text));
-  if (graph.nodes().empty()) {
-    return std::string(
-        "no RDD-backed lineage (engine executes through another "
-        "abstraction)\n");
+Result<Inspection> BgpEngineBase::Inspect(const sparql::Query& query,
+                                          Tiers tiers) {
+  Inspection out;
+  if (tiers & kTierQuery) {
+    out.query_findings = sparql::AnalyzeQuery(query, AnalysisOptions());
   }
-  return plan::RenderDiagnostics(graph.Analyze()) + graph.ToDot();
-}
+  if (tiers == kTierQuery) return out;  // Tier A never needs the plan.
+  RDFSPARK_ASSIGN_OR_RETURN(out.plan, PlanBgp(query.where.bgp));
+  if (tiers & kTierPlan) {
+    out.plan_findings = plan::VerifyPlan(*out.plan, VerifyProfile());
+  }
+  if (tiers & kTierResources) {
+    out.resources = AnalyzePlanResources(query, *out.plan);
+  }
+  if (!(tiers & (kTierLineage | kTierRaces | kTierResources))) return out;
 
-Result<std::string> BgpEngineBase::ExplainText(std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  // EXPLAIN covers the top-level basic graph pattern (the distributed part
-  // of the query; FILTER/OPTIONAL/UNION and modifiers run driver-side).
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
-  return plan::Explain(*root);
-}
-
-Result<std::vector<plan::Diagnostic>> BgpEngineBase::LintQuery(
-    std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
-  return plan::VerifyPlan(*root, VerifyProfile());
-}
-
-Result<std::string> BgpEngineBase::LintText(std::string_view text) {
-  // The static lint tiers over the same text: query analysis (QA rules),
-  // the plan verifier (SC/CP/BC/ST/VP rules), then the resource analyzer
-  // (RS rules); one severity-sorted rendering followed by the envelope.
-  RDFSPARK_ASSIGN_OR_RETURN(std::vector<plan::Diagnostic> diags,
-                            AnalyzeQueryText(text));
-  RDFSPARK_ASSIGN_OR_RETURN(std::vector<plan::Diagnostic> plan_diags,
-                            LintQuery(text));
-  for (auto& d : plan_diags) diags.push_back(std::move(d));
-  RDFSPARK_ASSIGN_OR_RETURN(plan::ResourceAnalysis analysis,
-                            ResourceEnvelope(text));
-  for (auto& d : analysis.findings) diags.push_back(std::move(d));
-  return plan::RenderDiagnostics(std::move(diags)) +
-         plan::RenderEnvelope(analysis);
-}
-
-Result<plan::ResourceAnalysis> BgpEngineBase::ResourceEnvelope(
-    std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
-  return AnalyzePlanResources(query, *root);
+  // The one analyzed run. Opening the recorder window resets it on the
+  // driver with no tasks in flight, which is its quiescence contract.
+  spark::hb::ScopedRaceCheck window((tiers & kTierRaces) != 0);
+  Status ran = RunAnalyzed(*out.plan, &out.lineage);
+  if (tiers & kTierRaces) {
+    out.race_findings = window.owner() ? window.Finish()
+                                       : spark::hb::Recorder::Get().Analyze();
+  }
+  RDFSPARK_RETURN_NOT_OK(ran);
+  if (tiers & kTierLineage) out.lineage_findings = out.lineage->Analyze();
+  if (tiers & kTierResources) {
+    std::vector<plan::Diagnostic>& findings = out.resources->findings;
+    for (auto& d : out.lineage->AnalyzeRetention()) {
+      findings.push_back(std::move(d));
+    }
+    if (out.resources->bounded) {
+      for (auto& d : plan::DriftFindings(out.resources->output_bytes,
+                                         plan::ObserveFootprint(*out.plan))) {
+        findings.push_back(std::move(d));
+      }
+    }
+  }
+  return out;
 }
 
 plan::ResourceAnalysis BgpEngineBase::AnalyzePlanResources(
@@ -227,31 +287,11 @@ plan::ResourceAnalysis BgpEngineBase::AnalyzePlanResources(
   return plan::AnalyzeResources(root, profile);
 }
 
-Result<std::string> BgpEngineBase::RaceCheckText(std::string_view text) {
-  spark::hb::ScopedRaceCheck window(/*active=*/true);
-  Result<sparql::BindingTable> executed = ExecuteText(text);
-  std::vector<plan::Diagnostic> findings =
-      window.owner() ? window.Finish()
-                     : spark::hb::Recorder::Get().Analyze();
-  if (!executed.ok()) return executed.status();
-  return plan::RenderDiagnostics(std::move(findings));
-}
-
-std::vector<plan::Diagnostic> BgpEngineBase::AnalyzeParsedQuery(
-    const sparql::Query& query) const {
-  return sparql::AnalyzeQuery(query, AnalysisOptions());
-}
-
 Result<plan::PlanPtr> BgpEngineBase::PlanQuery(const sparql::Query& query) {
-  if (query.form != sparql::QueryForm::kSelect &&
-      query.form != sparql::QueryForm::kAsk) {
+  if (!PlansAsOneBgp(query)) {
     return Status::Unsupported(
-        "only SELECT/ASK queries plan through PlanQuery");
-  }
-  if (!query.where.IsPlainBgp() || query.IsAggregate()) {
-    return Status::Unsupported(
-        "group patterns and aggregates evaluate recursively; no single "
-        "cacheable plan");
+        "only SELECT/ASK over a plain BGP without aggregates plans through "
+        "PlanQuery; group patterns evaluate recursively");
   }
   RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
   if (debug_check_plans_) {
@@ -273,25 +313,13 @@ Result<sparql::BindingTable> BgpEngineBase::ExecutePlanned(
   return ApplyModifiers(query, std::move(table), dictionary());
 }
 
-Result<plan::PlanPtr> BgpEngineBase::ExecuteAnalyzed(std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  return ExecuteAnalyzed(query);
-}
-
 Result<plan::PlanPtr> BgpEngineBase::ExecuteAnalyzed(
     const sparql::Query& query) {
   // Like EXPLAIN, the analyzed run covers the top-level basic graph
   // pattern — the distributed part whose actuals are worth attributing.
   RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
-  plan::PlanExecutor executor(sc_, /*collect_actuals=*/true);
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::BindingTable table, executor.Run(*root));
-  (void)table;  // Results are discarded; the annotated plan is the output.
+  RDFSPARK_RETURN_NOT_OK(RunAnalyzed(*root, nullptr));
   return root;
-}
-
-Result<std::string> BgpEngineBase::ExplainAnalyzeText(std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, ExecuteAnalyzed(text));
-  return plan::ExplainAnalyze(*root);
 }
 
 plan::EngineProfile BgpEngineBase::VerifyProfile() const {
@@ -382,7 +410,7 @@ Result<sparql::BindingTable> BgpEngineBase::Execute(
 }
 
 Result<std::vector<rdf::Triple>> ExecuteConstruct(
-    RdfQueryEngine* engine, const rdf::TripleStore& store,
+    BgpEngineBase* engine, const rdf::TripleStore& store,
     const sparql::Query& query) {
   if (query.form != sparql::QueryForm::kConstruct) {
     return Status::InvalidArgument("not a CONSTRUCT query");
@@ -397,7 +425,7 @@ Result<std::vector<rdf::Triple>> ExecuteConstruct(
 }
 
 Result<std::vector<rdf::Triple>> ExecuteDescribe(
-    RdfQueryEngine* engine, const rdf::TripleStore& store,
+    BgpEngineBase* engine, const rdf::TripleStore& store,
     const sparql::Query& query) {
   if (query.form != sparql::QueryForm::kDescribe) {
     return Status::InvalidArgument("not a DESCRIBE query");
@@ -431,9 +459,9 @@ Result<std::vector<rdf::Triple>> ExecuteDescribe(
   return sparql::DescribeResources(resources, store);
 }
 
-std::vector<std::unique_ptr<RdfQueryEngine>> MakeAllEngines(
+std::vector<std::unique_ptr<BgpEngineBase>> MakeAllEngines(
     spark::SparkContext* sc) {
-  std::vector<std::unique_ptr<RdfQueryEngine>> engines;
+  std::vector<std::unique_ptr<BgpEngineBase>> engines;
   engines.push_back(std::make_unique<HaqwaEngine>(sc));       // [7]
   engines.push_back(std::make_unique<SparqlgxEngine>(sc));    // [13]
   engines.push_back(std::make_unique<S2rdfEngine>(sc));       // [24]

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -87,13 +88,66 @@ struct LoadStats {
   uint64_t stored_bytes = 0;
 };
 
-/// Common interface of the nine reproduced systems. An engine is bound to a
-/// SparkContext (the simulated cluster) and loads a dataset once; queries
-/// produce binding tables over the dataset's dictionary so results can be
-/// cross-checked against the reference evaluator.
-class RdfQueryEngine {
+/// The dataflow-lint tiers, one letter each. `dataflow_lint --tier`,
+/// sparql_shell's `.lint` and BgpEngineBase::Inspect share this alphabet.
+enum Tier : unsigned {
+  kTierQuery = 1u << 0,      ///< A: query analysis (QA rules), pure.
+  kTierPlan = 1u << 1,       ///< P: plan verifier (SC/CP/BC/ST/VP), pure.
+  kTierLineage = 1u << 2,    ///< B: RDD lineage (LN rules), executes.
+  kTierRaces = 1u << 3,      ///< C: happens-before (RC/DT rules), executes.
+  kTierResources = 1u << 4,  ///< D: resource envelope (RS rules), executes.
+};
+using Tiers = unsigned;
+inline constexpr Tiers kAllTiers = kTierQuery | kTierPlan | kTierLineage |
+                                   kTierRaces | kTierResources;
+
+/// Parses a tier list such as "A,P,D" or "pd" (case-insensitive; ',' and
+/// ' ' separate letters). InvalidArgument on any other character or on an
+/// empty set.
+Result<Tiers> ParseTiers(std::string_view text);
+
+/// The letters of `tiers` in A, P, B, C, D order, e.g. "APBCD".
+std::string TierLetters(Tiers tiers);
+
+/// What Inspect returns: the typed pieces the plan:: renderers take
+/// (Explain, ExplainAnalyze, RenderDiagnostics, RenderEnvelope,
+/// LineageGraph::ToDot). Fields of tiers that were not asked for stay
+/// empty.
+struct Inspection {
+  /// The plan of the query's top-level basic graph pattern (the
+  /// distributed part; FILTER/OPTIONAL/UNION and modifiers run
+  /// driver-side). Null when only tier A was asked for. After an
+  /// executing tier (B, C or D) every node carries its actuals, exactly
+  /// as from ExecuteAnalyzed.
+  plan::PlanPtr plan;
+  std::vector<plan::Diagnostic> query_findings;    ///< Tier A.
+  std::vector<plan::Diagnostic> plan_findings;     ///< Tier P.
+  /// The lineage DAG the analyzed run built (any of B, C, D). Engines
+  /// whose payloads are not RDD-backed produce an empty graph.
+  std::optional<spark::LineageGraph> lineage;
+  std::vector<plan::Diagnostic> lineage_findings;  ///< Tier B.
+  std::vector<plan::Diagnostic> race_findings;     ///< Tier C.
+  /// Tier D: the plan's static byte envelope. Its findings also carry
+  /// RS004 (retention over the lineage) and RS006 (drift of the envelope
+  /// against the bytes the analyzed run materialized).
+  std::optional<plan::ResourceAnalysis> resources;
+};
+
+/// The one engine interface. An engine is bound to a SparkContext (the
+/// simulated cluster) and loads a dataset once; queries produce binding
+/// tables over the dataset's dictionary so results can be cross-checked
+/// against the reference evaluator.
+///
+/// Every system evaluates BGPs in a distributed fashion and (when its
+/// fragment allows) runs the remaining operators with the "Spark API"
+/// driver-side, as the surveyed systems do. Subclasses provide PlanBgp() —
+/// their documented planning strategy expressed in the shared physical
+/// algebra; Execute() plans, hands the plan to the shared PlanExecutor,
+/// and handles fragment checking, group structure (FILTER/OPTIONAL/UNION)
+/// and solution modifiers.
+class BgpEngineBase {
  public:
-  virtual ~RdfQueryEngine() = default;
+  virtual ~BgpEngineBase() = default;
 
   virtual const EngineTraits& traits() const = 0;
 
@@ -103,82 +157,28 @@ class RdfQueryEngine {
 
   /// Executes a parsed query. Engines whose fragment is kBgp reject
   /// queries using FILTER/OPTIONAL/UNION or solution modifiers.
-  virtual Result<sparql::BindingTable> Execute(const sparql::Query& query) = 0;
+  Result<sparql::BindingTable> Execute(const sparql::Query& query);
 
   /// Parses and executes SPARQL text.
   Result<sparql::BindingTable> ExecuteText(std::string_view text);
 
-  /// EXPLAIN: parses `text` and returns the deterministic physical plan
-  /// tree its basic graph pattern would execute with, without running it.
-  /// Engines that do not plan through the shared physical algebra return
-  /// Unsupported.
-  virtual Result<std::string> ExplainText(std::string_view text);
-
-  /// LINT: parses `text`, plans its basic graph pattern, and returns the
-  /// static verifier's findings one per line ("no findings\n" for a clean
-  /// plan) without executing anything. Unsupported for engines that do not
-  /// plan through the shared algebra.
-  virtual Result<std::string> LintText(std::string_view text);
-
-  /// EXPLAIN ANALYZE: parses `text`, plans its basic graph pattern, and
-  /// *executes* the plan with per-operator actuals collection, returning
-  /// the plan tree annotated with estimated vs actual cardinalities, an
-  /// estimate-error column and per-node runtime counters (see
-  /// plan::ExplainAnalyze for the format). Charges metrics like a normal
-  /// execution; the annotated numbers are bit-identical regardless of
-  /// executor threading. Unsupported for engines that do not plan through
-  /// the shared algebra.
-  virtual Result<std::string> ExplainAnalyzeText(std::string_view text);
-
-  spark::SparkContext* context() const { return sc_; }
-
- protected:
-  explicit RdfQueryEngine(spark::SparkContext* sc) : sc_(sc) {}
-
-  spark::SparkContext* sc_;
-};
-
-/// Shared skeleton for engines that evaluate BGPs in a distributed fashion
-/// and (when their fragment allows) run the remaining operators with the
-/// "Spark API" driver-side, as the surveyed systems do. Subclasses provide
-/// PlanBgp() — their documented planning strategy expressed in the shared
-/// physical algebra; Execute() plans, hands the plan to the shared
-/// PlanExecutor, and handles fragment checking, group structure
-/// (FILTER/OPTIONAL/UNION) and solution modifiers.
-class BgpEngineBase : public RdfQueryEngine {
- public:
-  Result<sparql::BindingTable> Execute(const sparql::Query& query) override;
-
-  Result<std::string> ExplainText(std::string_view text) override;
-
-  Result<std::string> LintText(std::string_view text) override;
-
-  Result<std::string> ExplainAnalyzeText(std::string_view text) override;
-
-  /// Typed verifier findings for `text`'s basic graph pattern. Pure, like
-  /// EXPLAIN: the plan is built but never executed.
-  Result<std::vector<plan::Diagnostic>> LintQuery(std::string_view text);
-
-  /// Tier A of the dataflow lint: query-level findings (QA rules, see
-  /// sparql/analysis.h) for `text`, with this engine's storage layout
-  /// feeding the layout-sensitive rules. Pure: nothing is planned or
-  /// executed. LintText renders this tier together with LintQuery's
-  /// plan-tier findings.
-  Result<std::vector<plan::Diagnostic>> AnalyzeQueryText(
-      std::string_view text);
-
-  /// Tier A analysis on an already-parsed query — what the admission gate
-  /// inside Execute runs. The serving layer calls this once per request
-  /// instead of re-parsing the text.
-  std::vector<plan::Diagnostic> AnalyzeParsedQuery(
-      const sparql::Query& query) const;
+  /// The inspection entry point behind EXPLAIN and every lint tier. Plans
+  /// the query's basic graph pattern at most once (not at all for tier A
+  /// alone) and executes it at most once: when B, C or D is asked for, one
+  /// run with actuals collection supplies both the per-operator actuals
+  /// and the lineage roots, inside a happens-before recorder window when C
+  /// is asked for (an already active outer window is analyzed without
+  /// being disturbed). With no tiers it returns just the plan (EXPLAIN).
+  /// Charges metrics like a normal execution when it executes; the
+  /// findings are byte-identical regardless of executor threading.
+  Result<Inspection> Inspect(const sparql::Query& query, Tiers tiers);
 
   /// Pure planning entry point for the serving plan cache: plans the
-  /// query's basic graph pattern without executing anything. Only plain-BGP
-  /// non-aggregate SELECT/ASK queries are plannable this way (groups with
+  /// query's basic graph pattern without executing anything. Only queries
+  /// PlansAsOneBgp accepts are plannable this way (groups with
   /// FILTER/OPTIONAL/UNION evaluate recursively and have no single
   /// cacheable plan) — anything else returns Unsupported and the caller
-  /// falls through to Execute. When debug_check_plans() is on, the plan is
+  /// falls through to Execute. When debug-check-plans is on, the plan is
   /// verified here, once, instead of on every cached execution.
   Result<plan::PlanPtr> PlanQuery(const sparql::Query& query);
 
@@ -195,25 +195,11 @@ class BgpEngineBase : public RdfQueryEngine {
   /// shared match state on first execution.
   virtual bool ReusablePlans() const { return true; }
 
-  /// Tier B of the dataflow lint: plans and *executes* `text`'s basic
-  /// graph pattern with actuals collection, then snapshots the RDD lineage
-  /// DAG the run built. Engines whose payloads are not RDD-backed
-  /// (DataFrames, driver-side rows) produce an empty graph.
-  Result<spark::LineageGraph> CaptureLineage(std::string_view text);
-
-  /// `.lineage` rendering: the lineage analyzer's findings (LN rules)
-  /// followed by the DOT export of the captured graph.
-  Result<std::string> LineageText(std::string_view text);
-
-  /// Plans and executes `text`'s basic graph pattern with actuals
+  /// Plans and executes `query`'s basic graph pattern with actuals
   /// collection, returning the analyzed plan: every node carries an
-  /// OpStats (node->actuals) with its runtime counters and output rows.
-  /// The machine-readable side of ExplainAnalyzeText (tools/query_profile
-  /// aggregates these instead of re-parsing the rendered text).
-  Result<plan::PlanPtr> ExecuteAnalyzed(std::string_view text);
-
-  /// Same, for an already-parsed query — the serving layer's slow-query
-  /// audit re-executes the request it just served without re-parsing.
+  /// OpStats (node->actuals) with its runtime counters and output rows —
+  /// what plan::ExplainAnalyze renders. The serving layer's slow-query
+  /// audit re-executes the request it just served this way.
   Result<plan::PlanPtr> ExecuteAnalyzed(const sparql::Query& query);
 
   /// The storage/layout facts the static verifier checks plans against
@@ -227,14 +213,12 @@ class BgpEngineBase : public RdfQueryEngine {
   /// the query with an InvalidArgument status. Defaults to the
   /// RDFSPARK_VERIFY_PLANS environment variable (set and non-empty).
   void set_debug_check_plans(bool enabled) { debug_check_plans_ = enabled; }
-  bool debug_check_plans() const { return debug_check_plans_; }
 
   /// Query-admission gate: when enabled, Execute runs the query analyzer
   /// (Tier A) first and any ERROR-level QA finding fails the query with an
   /// InvalidArgument status before planning or execution. Defaults to the
   /// RDFSPARK_VERIFY_QUERIES environment variable (set and non-empty).
   void set_debug_check_queries(bool enabled) { debug_check_queries_ = enabled; }
-  bool debug_check_queries() const { return debug_check_queries_; }
 
   /// Tier C gate: when enabled, Execute runs inside a happens-before
   /// recorder window (see spark/hb.h) and any ERROR-level RC/DT finding
@@ -244,20 +228,6 @@ class BgpEngineBase : public RdfQueryEngine {
   /// (the serving layer or a lint tool holds the recorder), the per-Execute
   /// gate defers to the owner instead of resetting shared state under it.
   void set_debug_check_races(bool enabled) { debug_check_races_ = enabled; }
-  bool debug_check_races() const { return debug_check_races_; }
-
-  /// Tier C of the dataflow lint: executes `text` inside a fresh
-  /// happens-before recorder window and returns the RC/DT findings one per
-  /// line ("no findings\n" for a clean run). If an outer window is already
-  /// active its accumulated findings are rendered without disturbing it.
-  Result<std::string> RaceCheckText(std::string_view text);
-
-  /// Tier D of the dataflow lint: plans `text`'s basic graph pattern and
-  /// statically derives its byte envelope against this engine's simulated
-  /// cluster (see plan/resource.h). Pure, like EXPLAIN: the plan is built
-  /// but never executed, and the result is byte-identical regardless of
-  /// executor threading.
-  Result<plan::ResourceAnalysis> ResourceEnvelope(std::string_view text);
 
   /// Tier D analysis of an already-built plan for `query` — what the
   /// serving admission gate runs on cached plans (no planning, no
@@ -266,6 +236,8 @@ class BgpEngineBase : public RdfQueryEngine {
   plan::ResourceAnalysis AnalyzePlanResources(
       const sparql::Query& query, const plan::PlanNode& root,
       uint64_t cluster_budget_bytes = 0) const;
+
+  spark::SparkContext* context() const { return sc_; }
 
  protected:
   explicit BgpEngineBase(spark::SparkContext* sc);
@@ -287,23 +259,34 @@ class BgpEngineBase : public RdfQueryEngine {
   Result<sparql::BindingTable> EvaluateGroup(
       const sparql::GroupPattern& group);
 
+  spark::SparkContext* sc_;
+
  private:
   /// The QueryAnalysisOptions this engine's storage layout implies.
   sparql::QueryAnalysisOptions AnalysisOptions() const;
+
+  /// Runs `root` with actuals collection; snapshots the run's lineage
+  /// into `lineage` when non-null.
+  Status RunAnalyzed(const plan::PlanNode& root,
+                     std::optional<spark::LineageGraph>* lineage);
 
   bool debug_check_plans_ = false;
   bool debug_check_queries_ = false;
   bool debug_check_races_ = false;
 };
 
+/// Whether `query` plans as one basic graph pattern (PlanQuery's fragment):
+/// a SELECT/ASK over a plain BGP without aggregates.
+bool PlansAsOneBgp(const sparql::Query& query);
+
 /// All nine engines, constructed against `sc`. Order matches Table II rows.
 /// Callers own the engines; each needs Load() before use.
-std::vector<std::unique_ptr<RdfQueryEngine>> MakeAllEngines(
+std::vector<std::unique_ptr<BgpEngineBase>> MakeAllEngines(
     spark::SparkContext* sc);
 
 /// One constructible engine variant: the nine Table II systems with the
 /// Hybrid engine expanded into its four studied modes — the 12 columns the
-/// whole-matrix tools (plan_lint, dataflow_lint, query_profile) and the
+/// whole-matrix tools (dataflow_lint, query_profile), sparql_shell and the
 /// serving layer all iterate over. Names are identifier-safe ('-' in
 /// Hybrid mode names becomes '_').
 struct EngineVariantFactory {
@@ -317,13 +300,13 @@ std::vector<EngineVariantFactory> AllEngineVariantFactories();
 /// Runs a CONSTRUCT query through `engine` (distributed pattern matching,
 /// driver-side template instantiation against `store`'s dictionary).
 Result<std::vector<rdf::Triple>> ExecuteConstruct(
-    RdfQueryEngine* engine, const rdf::TripleStore& store,
+    BgpEngineBase* engine, const rdf::TripleStore& store,
     const sparql::Query& query);
 
 /// Runs a DESCRIBE query through `engine`: the pattern (if any) resolves
 /// variable targets distributedly; descriptions come from `store`.
 Result<std::vector<rdf::Triple>> ExecuteDescribe(
-    RdfQueryEngine* engine, const rdf::TripleStore& store,
+    BgpEngineBase* engine, const rdf::TripleStore& store,
     const sparql::Query& query);
 
 }  // namespace rdfspark::systems

@@ -4,50 +4,10 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "spark/sql/dataframe.h"
-#include "systems/batch.h"
-#include "systems/common.h"
 
 namespace rdfspark::systems::plan {
 
 namespace {
-
-// Row counters for the payload representations shared by several engines.
-// Engines with TU-local payload types register their own (see analyze.h).
-// Batch payloads: one IdTable (or keyed batch / per-vertex table) per
-// partition element; rows out is the sum of batch sizes.
-const BatchPayloadRowCounterRegistration<sparql::IdTable,
-                                         uint64_t (*)(const sparql::IdTable&)>
-    kBatchRdd(+[](const sparql::IdTable& b) -> uint64_t { return b.size(); });
-const BatchPayloadRowCounterRegistration<KeyedBatch,
-                                         uint64_t (*)(const KeyedBatch&)>
-    kKeyedBatchRdd(
-        +[](const KeyedBatch& b) -> uint64_t { return b.rows.size(); });
-const BatchPayloadRowCounterRegistration<
-    std::pair<int64_t, sparql::IdTable>,
-    uint64_t (*)(const std::pair<int64_t, sparql::IdTable>&)>
-    kVertexBatchRdd(+[](const std::pair<int64_t, sparql::IdTable>& kv)
-                        -> uint64_t { return kv.second.size(); });
-
-struct DriverPayloadRegistration {
-  DriverPayloadRegistration() {
-    // Driver-side flat tables (SparkRDF's collected intermediates).
-    RegisterPayloadRowCounter(
-        [](const PlanPayload& payload) -> std::optional<uint64_t> {
-          const auto* rows = std::any_cast<sparql::IdTable>(&payload);
-          if (rows == nullptr) return std::nullopt;
-          return rows->size();
-        });
-    // DataFrames are eager; NumRows just sums batch sizes.
-    RegisterPayloadRowCounter(
-        [](const PlanPayload& payload) -> std::optional<uint64_t> {
-          const auto* df = std::any_cast<spark::sql::DataFrame>(&payload);
-          if (df == nullptr || !df->valid()) return std::nullopt;
-          return df->NumRows();
-        });
-  }
-};
-const DriverPayloadRegistration kDriverPayloads;
 
 std::string EstimateError(const PlanNode& node) {
   if (node.actuals == nullptr || !node.actuals->rows_known ||

@@ -62,7 +62,7 @@ std::vector<LeafActual> CollectLeafActuals(const PlanNode& root);
 ///   namespace { const plan::RddPayloadRowCounterRegistration<MyRow> reg; }
 ///
 /// Common payload types (IdRow rows, keyed rows, DataFrame, driver-side
-/// vectors) are registered centrally in analyze.cc.
+/// vectors) are registered centrally in systems/engine.cc.
 template <typename T>
 class RddPayloadRowCounterRegistration {
  public:

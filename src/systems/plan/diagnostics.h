@@ -39,7 +39,7 @@ bool HasError(const std::vector<Diagnostic>& diags);
 /// message. Stable, so equal findings keep their emission order.
 void SortDiagnostics(std::vector<Diagnostic>* diags);
 
-/// The one rendering shared by every lint surface (`.lint`, plan_lint,
+/// The one rendering shared by every lint surface (`.lint`,
 /// dataflow_lint): severity-sorted FormatDiagnostic lines, or the literal
 /// "no findings\n" when the list is empty.
 std::string RenderDiagnostics(std::vector<Diagnostic> diags);

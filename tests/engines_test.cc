@@ -117,7 +117,7 @@ std::vector<TestQuery> TestQueries() {
 
 struct EngineFactory {
   std::string name;
-  std::function<std::unique_ptr<RdfQueryEngine>(SparkContext*)> make;
+  std::function<std::unique_ptr<BgpEngineBase>(SparkContext*)> make;
 };
 
 std::vector<EngineFactory> Factories() {

@@ -19,19 +19,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rdf/generator.h"
 #include "rdf/store.h"
+#include "sparql/parser.h"
 #include "systems/engine.h"
 #include "systems/haqwa.h"
-#include "systems/hybrid.h"
-#include "systems/s2rdf.h"
-#include "systems/sparqlgx.h"
+#include "systems/plan/analyze.h"
 
 namespace rdfspark::systems {
 namespace {
@@ -77,40 +76,12 @@ std::vector<ShapeQuery> ShapeQueries() {
   };
 }
 
-struct EngineFactory {
-  std::string name;
-  std::function<std::unique_ptr<RdfQueryEngine>(SparkContext*)> make;
-};
-
-/// All nine systems; Hybrid once per mode, like plan_explain_test.
-std::vector<EngineFactory> Factories() {
-  std::vector<EngineFactory> out;
-  for (auto mode :
-       {HybridMode::kSparkSqlNaive, HybridMode::kRddPartitioned,
-        HybridMode::kDataFrameAuto, HybridMode::kHybrid}) {
-    std::string name = std::string("Hybrid_") + HybridModeName(mode);
-    for (char& c : name) {
-      if (c == '-') c = '_';
-    }
-    out.push_back({name, [mode](SparkContext* sc) {
-                     HybridEngine::Options opts;
-                     opts.mode = mode;
-                     return std::make_unique<HybridEngine>(sc, opts);
-                   }});
-  }
-  SparkContext probe(SmallCluster());
-  for (auto& engine : MakeAllEngines(&probe)) {
-    std::string name = engine->traits().name;
-    if (name.rfind("Hybrid", 0) == 0) continue;  // covered per-mode above
-    // Recreate by traits-name via MakeAllEngines on the target context.
-    out.push_back({name, [name](SparkContext* sc) {
-                     for (auto& e : MakeAllEngines(sc)) {
-                       if (e->traits().name == name) return std::move(e);
-                     }
-                     return std::unique_ptr<RdfQueryEngine>();
-                   }});
-  }
-  return out;
+/// EXPLAIN ANALYZE of `text`: one analyzed run, rendered.
+Result<std::string> ExplainAnalyzeText(BgpEngineBase& engine,
+                                       std::string_view text) {
+  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
+  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, engine.ExecuteAnalyzed(query));
+  return plan::ExplainAnalyze(*root);
 }
 
 const std::map<std::string, std::string>& GoldenAnalyzes() {
@@ -205,17 +176,10 @@ const std::map<std::string, std::string>& GoldenAnalyzes() {
 /// The three pinned engines: one locality-first system, one VP store, one
 /// ExtVP store — together they exercise star matches, partitioned joins
 /// and both scan flavors.
-std::vector<EngineFactory> GoldenFactories() {
-  std::vector<EngineFactory> out;
-  out.push_back({"HAQWA", [](SparkContext* sc) {
-                   return std::make_unique<HaqwaEngine>(sc);
-                 }});
-  out.push_back({"SPARQLGX", [](SparkContext* sc) {
-                   return std::make_unique<SparqlgxEngine>(sc);
-                 }});
-  out.push_back({"S2RDF", [](SparkContext* sc) {
-                   return std::make_unique<S2rdfEngine>(sc);
-                 }});
+/// The variants with pinned goldens: the first three of the canonical list.
+std::vector<EngineVariantFactory> GoldenFactories() {
+  std::vector<EngineVariantFactory> out = AllEngineVariantFactories();
+  out.resize(3);  // HAQWA, SPARQLGX, S2RDF.
   return out;
 }
 
@@ -229,7 +193,7 @@ TEST(ExplainAnalyzeTest, MatchesGoldenOutputs) {
       SparkContext sc(SmallCluster());
       auto engine = factory.make(&sc);
       ASSERT_TRUE(engine->Load(Dataset()).ok()) << factory.name;
-      auto analyzed = engine->ExplainAnalyzeText(q.text);
+      auto analyzed = ExplainAnalyzeText(*engine, q.text);
       ASSERT_TRUE(analyzed.ok()) << factory.name << "/" << q.label << ": "
                                  << analyzed.status().ToString();
       std::string key = factory.name + "|" + q.label;
@@ -254,7 +218,7 @@ TEST(ExplainAnalyzeTest, MatchesGoldenOutputs) {
 /// bit-identical between serial and pooled execution for every engine and
 /// every shape.
 TEST(ExplainAnalyzeTest, ActualsAreBitIdenticalAcrossThreading) {
-  for (const auto& factory : Factories()) {
+  for (const auto& factory : AllEngineVariantFactories()) {
     for (const auto& q : ShapeQueries()) {
       std::string serial;
       std::string pooled;
@@ -264,7 +228,7 @@ TEST(ExplainAnalyzeTest, ActualsAreBitIdenticalAcrossThreading) {
         auto engine = factory.make(&sc);
         ASSERT_TRUE(engine != nullptr) << factory.name;
         ASSERT_TRUE(engine->Load(Dataset()).ok()) << factory.name;
-        auto analyzed = engine->ExplainAnalyzeText(q.text);
+        auto analyzed = ExplainAnalyzeText(*engine, q.text);
         ASSERT_TRUE(analyzed.ok())
             << factory.name << "/" << q.label << ": "
             << analyzed.status().ToString();
@@ -282,12 +246,12 @@ TEST(ExplainAnalyzeTest, RootActualMatchesExecutedRowCount) {
       SparkContext sc(SmallCluster());
       auto engine = factory.make(&sc);
       ASSERT_TRUE(engine->Load(Dataset()).ok()) << factory.name;
-      auto executed = engine->ExecuteText(q.text);
+      auto query = sparql::ParseQuery(q.text);
+      ASSERT_TRUE(query.ok()) << q.label;
+      auto executed = engine->Execute(*query);
       ASSERT_TRUE(executed.ok()) << factory.name << "/" << q.label;
 
-      auto* bgp_engine = dynamic_cast<BgpEngineBase*>(engine.get());
-      ASSERT_TRUE(bgp_engine != nullptr) << factory.name;
-      auto root = bgp_engine->ExecuteAnalyzed(q.text);
+      auto root = engine->ExecuteAnalyzed(*query);
       ASSERT_TRUE(root.ok()) << factory.name << "/" << q.label;
       ASSERT_TRUE((*root)->actuals != nullptr) << factory.name;
       EXPECT_TRUE((*root)->actuals->rows_known) << factory.name;
@@ -297,13 +261,13 @@ TEST(ExplainAnalyzeTest, RootActualMatchesExecutedRowCount) {
   }
 }
 
-/// Engines outside the shared plan layer refuse EXPLAIN ANALYZE with a
-/// proper Unsupported status rather than returning garbage.
+/// Text that does not parse is refused with an error status rather than
+/// returning garbage.
 TEST(ExplainAnalyzeTest, UnplannedQueriesReportErrors) {
   SparkContext sc(SmallCluster());
   HaqwaEngine engine(&sc);
   ASSERT_TRUE(engine.Load(Dataset()).ok());
-  auto bad = engine.ExplainAnalyzeText("not sparql at all");
+  auto bad = ExplainAnalyzeText(engine, "not sparql at all");
   EXPECT_FALSE(bad.ok());
 }
 

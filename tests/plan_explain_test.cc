@@ -9,23 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "rdf/generator.h"
 #include "rdf/store.h"
+#include "sparql/parser.h"
 #include "systems/engine.h"
-#include "systems/graphframes_engine.h"
-#include "systems/graphx_sm.h"
-#include "systems/haqwa.h"
 #include "systems/hybrid.h"
-#include "systems/s2rdf.h"
-#include "systems/s2x.h"
-#include "systems/sparkql.h"
-#include "systems/sparkrdf.h"
-#include "systems/sparqlgx.h"
 
 namespace rdfspark::systems {
 namespace {
@@ -70,51 +63,12 @@ std::vector<ShapeQuery> ShapeQueries() {
   };
 }
 
-struct EngineFactory {
-  std::string name;
-  std::function<std::unique_ptr<RdfQueryEngine>(SparkContext*)> make;
-};
-
-std::vector<EngineFactory> Factories() {
-  std::vector<EngineFactory> out;
-  out.push_back({"HAQWA", [](SparkContext* sc) {
-                   return std::make_unique<HaqwaEngine>(sc);
-                 }});
-  out.push_back({"SPARQLGX", [](SparkContext* sc) {
-                   return std::make_unique<SparqlgxEngine>(sc);
-                 }});
-  out.push_back({"S2RDF", [](SparkContext* sc) {
-                   return std::make_unique<S2rdfEngine>(sc);
-                 }});
-  for (auto mode :
-       {HybridMode::kSparkSqlNaive, HybridMode::kRddPartitioned,
-        HybridMode::kDataFrameAuto, HybridMode::kHybrid}) {
-    std::string name = std::string("Hybrid_") + HybridModeName(mode);
-    for (char& c : name) {
-      if (c == '-') c = '_';
-    }
-    out.push_back({name, [mode](SparkContext* sc) {
-                     HybridEngine::Options opts;
-                     opts.mode = mode;
-                     return std::make_unique<HybridEngine>(sc, opts);
-                   }});
-  }
-  out.push_back({"S2X", [](SparkContext* sc) {
-                   return std::make_unique<S2xEngine>(sc);
-                 }});
-  out.push_back({"GraphX_SM", [](SparkContext* sc) {
-                   return std::make_unique<GraphxSmEngine>(sc);
-                 }});
-  out.push_back({"Sparkql", [](SparkContext* sc) {
-                   return std::make_unique<SparkqlEngine>(sc);
-                 }});
-  out.push_back({"GraphFrames", [](SparkContext* sc) {
-                   return std::make_unique<GraphFramesEngine>(sc);
-                 }});
-  out.push_back({"SparkRDF", [](SparkContext* sc) {
-                   return std::make_unique<SparkRdfEngine>(sc);
-                 }});
-  return out;
+/// EXPLAIN of `text`: the plan Inspect builds with no tier, rendered.
+Result<std::string> Explain(BgpEngineBase& engine, std::string_view text) {
+  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
+  RDFSPARK_ASSIGN_OR_RETURN(Inspection inspected,
+                            engine.Inspect(query, /*tiers=*/0));
+  return plan::Explain(*inspected.plan);
 }
 
 const std::map<std::string, std::string>& GoldenExplains() {
@@ -482,12 +436,12 @@ const std::map<std::string, std::string>& GoldenExplains() {
 TEST(PlanExplainTest, MatchesGoldenPlans) {
   bool print = std::getenv("RDFSPARK_PRINT_EXPLAIN") != nullptr;
   const auto& goldens = GoldenExplains();
-  for (const auto& factory : Factories()) {
+  for (const auto& factory : AllEngineVariantFactories()) {
     SparkContext sc(SmallCluster());
     auto engine = factory.make(&sc);
     ASSERT_TRUE(engine->Load(Dataset()).ok()) << factory.name;
     for (const auto& q : ShapeQueries()) {
-      auto explained = engine->ExplainText(q.text);
+      auto explained = Explain(*engine, q.text);
       ASSERT_TRUE(explained.ok())
           << factory.name << "/" << q.label << ": "
           << explained.status().ToString();
@@ -503,26 +457,27 @@ TEST(PlanExplainTest, MatchesGoldenPlans) {
     }
   }
   if (!print) {
-    EXPECT_EQ(goldens.size(), Factories().size() * ShapeQueries().size());
+    EXPECT_EQ(goldens.size(),
+              AllEngineVariantFactories().size() * ShapeQueries().size());
   }
 }
 
 /// Planning must be pure: EXPLAIN charges no metrics, and the plan printed
 /// before and after execution is identical.
 TEST(PlanExplainTest, ExplainIsPureAndDeterministic) {
-  for (const auto& factory : Factories()) {
+  for (const auto& factory : AllEngineVariantFactories()) {
     SparkContext sc(SmallCluster());
     auto engine = factory.make(&sc);
     ASSERT_TRUE(engine->Load(Dataset()).ok()) << factory.name;
     const std::string query = ShapeQueries()[0].text;
     auto before = sc.metrics();
-    auto first = engine->ExplainText(query);
+    auto first = Explain(*engine, query);
     ASSERT_TRUE(first.ok()) << factory.name;
     auto delta = sc.metrics() - before;
     EXPECT_EQ(delta.shuffle_records, 0u) << factory.name;
     EXPECT_EQ(delta.tasks, 0u) << factory.name;
     ASSERT_TRUE(engine->ExecuteText(query).ok()) << factory.name;
-    auto second = engine->ExplainText(query);
+    auto second = Explain(*engine, query);
     ASSERT_TRUE(second.ok()) << factory.name;
     EXPECT_EQ(*first, *second) << factory.name;
   }
@@ -537,7 +492,7 @@ TEST(PlanExplainTest, SqlNaiveFallsBackToCartesianProducts) {
   HybridEngine engine(&sc, opts);
   ASSERT_TRUE(engine.Load(Dataset()).ok());
   auto explained =
-      engine.ExplainText(rdf::LubmShapeQuery(rdf::QueryShape::kStar, 3));
+      Explain(engine, rdf::LubmShapeQuery(rdf::QueryShape::kStar, 3));
   ASSERT_TRUE(explained.ok());
   EXPECT_NE(explained->find("CartesianProduct [cross-join + filter]"),
             std::string::npos)
@@ -558,7 +513,7 @@ TEST(PlanExplainTest, HybridJoinStrategyFollowsBroadcastThreshold) {
     opts.mode = HybridMode::kHybrid;
     HybridEngine engine(&sc, opts);
     ASSERT_TRUE(engine.Load(Dataset()).ok());
-    auto explained = engine.ExplainText(query);
+    auto explained = Explain(engine, query);
     ASSERT_TRUE(explained.ok());
     EXPECT_NE(explained->find("BroadcastJoin"), std::string::npos)
         << *explained;
@@ -573,7 +528,7 @@ TEST(PlanExplainTest, HybridJoinStrategyFollowsBroadcastThreshold) {
     opts.mode = HybridMode::kHybrid;
     HybridEngine engine(&sc, opts);
     ASSERT_TRUE(engine.Load(Dataset()).ok());
-    auto explained = engine.ExplainText(query);
+    auto explained = Explain(engine, query);
     ASSERT_TRUE(explained.ok());
     EXPECT_NE(explained->find("PartitionedHashJoin"), std::string::npos)
         << *explained;

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,15 +13,9 @@
 #include "rdf/store.h"
 #include "sparql/parser.h"
 #include "systems/engine.h"
-#include "systems/graphframes_engine.h"
-#include "systems/graphx_sm.h"
-#include "systems/haqwa.h"
-#include "systems/hybrid.h"
+#include "systems/plan/diagnostics.h"
 #include "systems/plan/verifier.h"
 #include "systems/s2rdf.h"
-#include "systems/s2x.h"
-#include "systems/sparkql.h"
-#include "systems/sparkrdf.h"
 #include "systems/sparqlgx.h"
 
 namespace rdfspark::systems {
@@ -244,7 +237,7 @@ TEST(PlanVerifierTest, VerifyForExecutionFailsOnlyOnErrors) {
 
 // ---------------------------------------------------------------------------
 // Engine-wide checks: the plans behind the golden EXPLAINs must verify with
-// zero errors, both through LintQuery and under debug-check execution.
+// zero errors, both through Inspect's tier P and under debug-check execution.
 
 ClusterConfig SmallCluster() {
   ClusterConfig cfg;
@@ -269,48 +262,11 @@ const rdf::TripleStore& Dataset() {
   return *store;
 }
 
-struct EngineFactory {
-  std::string name;
-  std::function<std::unique_ptr<BgpEngineBase>(SparkContext*)> make;
-};
-
-std::vector<EngineFactory> Factories() {
-  std::vector<EngineFactory> out;
-  out.push_back({"HAQWA", [](SparkContext* sc) {
-                   return std::make_unique<HaqwaEngine>(sc);
-                 }});
-  out.push_back({"SPARQLGX", [](SparkContext* sc) {
-                   return std::make_unique<SparqlgxEngine>(sc);
-                 }});
-  out.push_back({"S2RDF", [](SparkContext* sc) {
-                   return std::make_unique<S2rdfEngine>(sc);
-                 }});
-  for (auto mode :
-       {HybridMode::kSparkSqlNaive, HybridMode::kRddPartitioned,
-        HybridMode::kDataFrameAuto, HybridMode::kHybrid}) {
-    std::string name = std::string("Hybrid_") + HybridModeName(mode);
-    out.push_back({name, [mode](SparkContext* sc) {
-                     HybridEngine::Options opts;
-                     opts.mode = mode;
-                     return std::make_unique<HybridEngine>(sc, opts);
-                   }});
-  }
-  out.push_back({"S2X", [](SparkContext* sc) {
-                   return std::make_unique<S2xEngine>(sc);
-                 }});
-  out.push_back({"GraphX_SM", [](SparkContext* sc) {
-                   return std::make_unique<GraphxSmEngine>(sc);
-                 }});
-  out.push_back({"Sparkql", [](SparkContext* sc) {
-                   return std::make_unique<SparkqlEngine>(sc);
-                 }});
-  out.push_back({"GraphFrames", [](SparkContext* sc) {
-                   return std::make_unique<GraphFramesEngine>(sc);
-                 }});
-  out.push_back({"SparkRDF", [](SparkContext* sc) {
-                   return std::make_unique<SparkRdfEngine>(sc);
-                 }});
-  return out;
+/// Inspects `text` for `tiers` (parse + Inspect).
+Result<Inspection> InspectText(BgpEngineBase& engine, std::string_view text,
+                               Tiers tiers) {
+  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
+  return engine.Inspect(query, tiers);
 }
 
 std::vector<std::pair<std::string, std::string>> ShapeQueries() {
@@ -322,22 +278,22 @@ std::vector<std::pair<std::string, std::string>> ShapeQueries() {
 }
 
 TEST(PlanVerifierEnginesTest, AllGoldenPlansLintWithoutErrors) {
-  for (const auto& factory : Factories()) {
+  for (const auto& factory : AllEngineVariantFactories()) {
     SparkContext sc(SmallCluster());
     auto engine = factory.make(&sc);
     ASSERT_TRUE(engine->Load(Dataset()).ok()) << factory.name;
     for (const auto& [shape, text] : ShapeQueries()) {
-      auto findings = engine->LintQuery(text);
-      ASSERT_TRUE(findings.ok()) << factory.name << "/" << shape;
-      EXPECT_FALSE(plan::HasError(*findings))
+      auto inspected = InspectText(*engine, text, kTierPlan);
+      ASSERT_TRUE(inspected.ok()) << factory.name << "/" << shape;
+      EXPECT_FALSE(plan::HasError(inspected->plan_findings))
           << factory.name << "/" << shape << ":\n"
-          << plan::FormatDiagnostics(*findings);
+          << plan::FormatDiagnostics(inspected->plan_findings);
     }
   }
 }
 
 TEST(PlanVerifierEnginesTest, DebugCheckModeExecutesAllShapes) {
-  for (const auto& factory : Factories()) {
+  for (const auto& factory : AllEngineVariantFactories()) {
     SparkContext sc(SmallCluster());
     auto engine = factory.make(&sc);
     ASSERT_TRUE(engine->Load(Dataset()).ok()) << factory.name;
@@ -359,34 +315,35 @@ TEST(PlanVerifierEnginesTest, DebugCheckModeExecutesAllShapes) {
 // ran the query.
 
 TEST(DataflowLintEnginesTest, QueryAnalyzerErrorFreeOverCorpus) {
-  for (const auto& factory : Factories()) {
+  for (const auto& factory : AllEngineVariantFactories()) {
     SparkContext sc(SmallCluster());
     auto engine = factory.make(&sc);
     ASSERT_TRUE(engine->Load(Dataset()).ok()) << factory.name;
     for (const auto& [shape, text] : rdf::LubmQueryMix()) {
-      auto findings = engine->AnalyzeQueryText(text);
-      ASSERT_TRUE(findings.ok())
+      auto inspected = InspectText(*engine, text, kTierQuery);
+      ASSERT_TRUE(inspected.ok())
           << factory.name << "/" << rdf::QueryShapeName(shape);
-      EXPECT_FALSE(plan::HasError(*findings))
+      EXPECT_EQ(inspected->plan, nullptr);  // Tier A never plans.
+      EXPECT_FALSE(plan::HasError(inspected->query_findings))
           << factory.name << "/" << rdf::QueryShapeName(shape) << ":\n"
-          << plan::FormatDiagnostics(*findings);
+          << plan::FormatDiagnostics(inspected->query_findings);
     }
   }
 }
 
 TEST(DataflowLintEnginesTest, LineageAnalyzerErrorFreeOverCorpus) {
-  for (const auto& factory : Factories()) {
+  for (const auto& factory : AllEngineVariantFactories()) {
     SparkContext sc(SmallCluster());
     auto engine = factory.make(&sc);
     ASSERT_TRUE(engine->Load(Dataset()).ok()) << factory.name;
     for (const auto& [shape, text] : rdf::LubmQueryMix()) {
-      auto graph = engine->CaptureLineage(text);
-      ASSERT_TRUE(graph.ok())
+      auto inspected = InspectText(*engine, text, kTierLineage);
+      ASSERT_TRUE(inspected.ok())
           << factory.name << "/" << rdf::QueryShapeName(shape) << ": "
-          << graph.status().ToString();
-      EXPECT_FALSE(plan::HasError(graph->Analyze()))
+          << inspected.status().ToString();
+      EXPECT_FALSE(plan::HasError(inspected->lineage_findings))
           << factory.name << "/" << rdf::QueryShapeName(shape) << ":\n"
-          << plan::FormatDiagnostics(graph->Analyze());
+          << plan::FormatDiagnostics(inspected->lineage_findings);
     }
   }
 }
@@ -402,9 +359,9 @@ TEST(DataflowLintEnginesTest, LineageCaptureDeterministicAcrossContexts) {
     SparkContext sc(cfg);
     SparqlgxEngine engine(&sc);
     EXPECT_TRUE(engine.Load(Dataset()).ok());
-    auto graph = engine.CaptureLineage(text);
-    EXPECT_TRUE(graph.ok()) << graph.status().ToString();
-    return graph->ToDot();
+    auto inspected = InspectText(engine, text, kTierLineage);
+    EXPECT_TRUE(inspected.ok()) << inspected.status().ToString();
+    return inspected->lineage->ToDot();
   };
   std::string serial = capture(0);
   EXPECT_EQ(serial, capture(0));
@@ -449,6 +406,234 @@ TEST(PlanVerifierEnginesTest, DebugCheckRejectsBrokenPlansBeforeExecution) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("ST001"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Inspect: one plan and at most one execution for every tier together.
+// The goldens below were recorded when each tier planned and executed on
+// its own (a lineage capture run for the LN findings and node/shuffle
+// counts, a separate race-checked Execute for RC/DT, and a second analyzed
+// run for RS004/RS006), so they pin that sharing one run changes no
+// finding.
+
+struct InspectGolden {
+  const char* variant;
+  rdf::QueryShape shape;
+  int lineage_nodes;
+  int lineage_shuffles;
+  const char* lineage;    ///< RenderDiagnostics of the LN findings.
+  const char* races;      ///< RenderDiagnostics of the RC/DT findings.
+  const char* resources;  ///< RS findings rendered, then RenderEnvelope.
+};
+
+const std::vector<InspectGolden>& InspectGoldens() {
+  static const std::vector<InspectGolden>* goldens =
+      new std::vector<InspectGolden>{
+      {"SPARQLGX", rdf::QueryShape::kStar, 29, 6,
+       R"G(no findings
+)G",
+       R"G(no findings
+)G",
+       R"G(no findings
+stage 0: live=2672B working=0B shuffle=0B total=2672B
+stage 1: live=3264B working=416B shuffle=416B total=4096B
+stage 2: live=4816B working=416B shuffle=800B total=6032B
+stage 3: live=25168B working=3104B shuffle=3600B total=31872B
+peak envelope: 31872B across 4 stages
+operator outputs: 25168B over 8 nodes
+)G"},
+      {"SPARQLGX", rdf::QueryShape::kSnowflake, 47, 10,
+       R"G(INFO [LN003] at lineage: longest path crosses 5 shuffles (10 wide nodes total); each is a stage barrier (hint: cache intermediate results or collapse join stages to shorten the critical path)
+)G",
+       R"G(no findings
+)G",
+       R"G(WARN [RS006] at 0 envelope: assumed envelope of 188344B is 27.28x the observed 6904B — capacity admission is over-conservative for this plan (hint: refresh planner statistics so scan caps track the data)
+stage 0: live=3928B working=0B shuffle=0B total=3928B
+stage 1: live=5384B working=512B shuffle=632B total=6528B
+stage 2: live=9720B working=416B shuffle=1664B total=11800B
+stage 3: live=21256B working=128B shuffle=4400B total=25784B
+stage 4: live=50072B working=1952B shuffle=12512B total=64536B
+stage 5: live=188344B working=4096B shuffle=30864B total=223304B
+peak envelope: 223304B across 6 stages
+operator outputs: 188344B over 12 nodes
+)G"},
+      {"Hybrid_SparkSQL_naive", rdf::QueryShape::kStar, 0, 0,
+       R"G(no findings
+)G",
+       R"G(no findings
+)G",
+       R"G(WARN [RS005] at 0.0 CartesianProduct: cartesian working set grows superlinearly: output envelope 8778256B vs inputs 585440B (hint: join through a shared variable (or pre-filter the inputs) so the output stays near-linear in the inputs)
+WARN [RS005] at 0.0.0 CartesianProduct: cartesian working set grows superlinearly: output envelope 585232B vs inputs 36800B (hint: join through a shared variable (or pre-filter the inputs) so the output stays near-linear in the inputs)
+WARN [RS005] at 0.0.0.0 CartesianProduct: cartesian working set grows superlinearly: output envelope 36592B vs inputs 2256B (hint: join through a shared variable (or pre-filter the inputs) so the output stays near-linear in the inputs)
+WARN [RS006] at 0 envelope: assumed envelope of 18181008B is 4162.32x the observed 4368B — capacity admission is over-conservative for this plan (hint: refresh planner statistics so scan caps track the data)
+stage 0: live=18181008B working=624496B shuffle=0B total=18805504B
+peak envelope: 18805504B across 1 stage
+operator outputs: 18181008B over 8 nodes
+)G"},
+      {"Hybrid_SparkSQL_naive", rdf::QueryShape::kSnowflake, 0, 0,
+       R"G(no findings
+)G",
+       R"G(no findings
+)G",
+       R"G(ERROR [RS002] at 0 Project: peak stage envelope of 22746838416B exceeds the cluster budget of 268435456B (hint: raise RDFSPARK_MEMORY_BUDGET, add executors, or narrow the query so less output stays live across stages)
+WARN [RS005] at 0.0.0 CartesianProduct: cartesian working set grows superlinearly: output envelope 2468880016B vs inputs 15554064B (hint: join through a shared variable (or pre-filter the inputs) so the output stays near-linear in the inputs)
+WARN [RS005] at 0.0.0.0 CartesianProduct: cartesian working set grows superlinearly: output envelope 15552016B vs inputs 972224B (hint: join through a shared variable (or pre-filter the inputs) so the output stays near-linear in the inputs)
+WARN [RS005] at 0.0.0.0.0 CartesianProduct: cartesian working set grows superlinearly: output envelope 972016B vs inputs 43472B (hint: join through a shared variable (or pre-filter the inputs) so the output stays near-linear in the inputs)
+WARN [RS005] at 0.0.0.0.0.0 CartesianProduct: cartesian working set grows superlinearly: output envelope 43216B vs inputs 1352B (hint: join through a shared variable (or pre-filter the inputs) so the output stays near-linear in the inputs)
+WARN [RS006] at 0 envelope: assumed envelope of 20261387224B is 2934731.64x the observed 6904B — capacity admission is over-conservative for this plan (hint: refresh planner statistics so scan caps track the data)
+stage 0: live=20261387224B working=2485451192B shuffle=0B total=22746838416B
+peak envelope: 22746838416B across 1 stage
+operator outputs: 20261387224B over 12 nodes
+)G"},
+      {"Hybrid_RDD_partitioned", rdf::QueryShape::kStar, 27, 7,
+       R"G(INFO [LN003] at lineage: longest path crosses 4 shuffles (7 wide nodes total); each is a stage barrier (hint: cache intermediate results or collapse join stages to shorten the critical path)
+)G",
+       R"G(no findings
+)G",
+       R"G(WARN [RS006] at 0 envelope: assumed envelope of 106368B is 24.35x the observed 4368B — capacity admission is over-conservative for this plan (hint: refresh planner statistics so scan caps track the data)
+stage 0: live=2672B working=0B shuffle=0B total=2672B
+stage 1: live=8784B working=416B shuffle=2256B total=11456B
+stage 2: live=25056B working=416B shuffle=6320B total=31792B
+stage 3: live=106368B working=416B shuffle=16480B total=123264B
+peak envelope: 123264B across 4 stages
+operator outputs: 106368B over 8 nodes
+)G"},
+      {"Hybrid_RDD_partitioned", rdf::QueryShape::kSnowflake, 43, 11,
+       R"G(INFO [LN003] at lineage: longest path crosses 6 shuffles (11 wide nodes total); each is a stage barrier (hint: cache intermediate results or collapse join stages to shorten the critical path)
+)G",
+       R"G(no findings
+)G",
+       R"G(WARN [RS006] at 0 envelope: assumed envelope of 249784B is 36.18x the observed 6904B — capacity admission is over-conservative for this plan (hint: refresh planner statistics so scan caps track the data)
+stage 0: live=3928B working=0B shuffle=0B total=3928B
+stage 1: live=5864B working=752B shuffle=1352B total=7968B
+stage 2: live=11640B working=512B shuffle=2192B total=14344B
+stage 3: live=27016B working=416B shuffle=5984B total=33416B
+stage 4: live=65432B working=4096B shuffle=17424B total=86952B
+stage 5: live=249784B working=128B shuffle=38480B total=288392B
+peak envelope: 288392B across 6 stages
+operator outputs: 249784B over 12 nodes
+)G"},
+      {"SparkRDF", rdf::QueryShape::kStar, 35, 7,
+       R"G(INFO [LN003] at lineage: longest path crosses 4 shuffles (7 wide nodes total); each is a stage barrier (hint: cache intermediate results or collapse join stages to shorten the critical path)
+)G",
+       R"G(no findings
+)G",
+       R"G(WARN [RS005] at 0.0.0 CartesianProduct: cartesian working set grows superlinearly: output envelope 8778256B vs inputs 57360B (hint: join through a shared variable (or pre-filter the inputs) so the output stays near-linear in the inputs)
+WARN [RS005] at 0.0.0.0 CartesianProduct: cartesian working set grows superlinearly: output envelope 55312B vs inputs 3680B (hint: join through a shared variable (or pre-filter the inputs) so the output stays near-linear in the inputs)
+WARN [RS005] at 0.0.0.0.0 CartesianProduct: cartesian working set grows superlinearly: output envelope 3472B vs inputs 416B (hint: join through a shared variable (or pre-filter the inputs) so the output stays near-linear in the inputs)
+WARN [RS006] at 0 envelope: assumed envelope of 26396224B is 5426.86x the observed 4864B — capacity admission is over-conservative for this plan (hint: refresh planner statistics so scan caps track the data)
+stage 0: live=26396224B working=61456B shuffle=0B total=26457680B
+peak envelope: 26457680B across 1 stage
+operator outputs: 26396224B over 9 nodes
+)G"},
+      {"SparkRDF", rdf::QueryShape::kSnowflake, 47, 9,
+       R"G(INFO [LN003] at lineage: longest path crosses 5 shuffles (9 wide nodes total); each is a stage barrier (hint: cache intermediate results or collapse join stages to shorten the critical path)
+)G",
+       R"G(no findings
+)G",
+       R"G(WARN [RS005] at 0.0.0.0 CartesianProduct: cartesian working set grows superlinearly: output envelope 4389136B vs inputs 30864B (hint: join through a shared variable (or pre-filter the inputs) so the output stays near-linear in the inputs)
+WARN [RS005] at 0.0.0.0.0.0 CartesianProduct: cartesian working set grows superlinearly: output envelope 14416B vs inputs 848B (hint: join through a shared variable (or pre-filter the inputs) so the output stays near-linear in the inputs)
+WARN [RS006] at 0 envelope: assumed envelope of 17603200B is 1265.32x the observed 13912B — capacity admission is over-conservative for this plan (hint: refresh planner statistics so scan caps track the data)
+stage 0: live=2832B working=0B shuffle=0B total=2832B
+stage 1: live=17840B working=976B shuffle=272B total=19088B
+stage 2: live=17603200B working=31376B shuffle=14672B total=17649248B
+peak envelope: 17649248B across 3 stages
+operator outputs: 17603200B over 12 nodes
+)G"},
+      };
+  return *goldens;
+}
+
+std::unique_ptr<BgpEngineBase> LoadedVariant(const std::string& name,
+                                             SparkContext* sc) {
+  for (const auto& factory : AllEngineVariantFactories()) {
+    if (factory.name != name) continue;
+    auto engine = factory.make(sc);
+    if (!engine->Load(Dataset()).ok()) return nullptr;
+    return engine;
+  }
+  return nullptr;
+}
+
+sparql::Query CorpusQuery(rdf::QueryShape shape) {
+  for (const auto& [s, text] : rdf::LubmQueryMix()) {
+    if (s == shape) return *sparql::ParseQuery(text);
+  }
+  ADD_FAILURE() << "no corpus query for " << rdf::QueryShapeName(shape);
+  return {};
+}
+
+TEST(InspectTest, AllTiersChargeExactlyOneAnalyzedRun) {
+  for (const auto& golden : InspectGoldens()) {
+    SCOPED_TRACE(std::string(golden.variant) + " / " +
+                 rdf::QueryShapeName(golden.shape));
+    sparql::Query query = CorpusQuery(golden.shape);
+
+    SparkContext inspect_sc(SmallCluster());
+    auto inspect_engine = LoadedVariant(golden.variant, &inspect_sc);
+    ASSERT_NE(inspect_engine, nullptr);
+    spark::Metrics before = inspect_sc.metrics();
+    auto inspected = inspect_engine->Inspect(query, kAllTiers);
+    ASSERT_TRUE(inspected.ok()) << inspected.status().ToString();
+    spark::Metrics inspect_delta = inspect_sc.metrics() - before;
+
+    SparkContext analyze_sc(SmallCluster());
+    auto analyze_engine = LoadedVariant(golden.variant, &analyze_sc);
+    ASSERT_NE(analyze_engine, nullptr);
+    before = analyze_sc.metrics();
+    ASSERT_TRUE(analyze_engine->ExecuteAnalyzed(query).ok());
+    spark::Metrics analyze_delta = analyze_sc.metrics() - before;
+
+    EXPECT_GT(analyze_delta.tasks.value(), 0u);
+    EXPECT_EQ(inspect_delta.tasks.value(), analyze_delta.tasks.value());
+    EXPECT_EQ(inspect_delta.shuffle_bytes.value(),
+              analyze_delta.shuffle_bytes.value());
+    EXPECT_EQ(inspect_delta.join_comparisons.value(),
+              analyze_delta.join_comparisons.value());
+
+    ASSERT_TRUE(inspected->lineage.has_value());
+    EXPECT_EQ(static_cast<int>(inspected->lineage->nodes().size()),
+              golden.lineage_nodes);
+    EXPECT_EQ(inspected->lineage->ShuffleCount(), golden.lineage_shuffles);
+    EXPECT_EQ(plan::RenderDiagnostics(inspected->lineage_findings),
+              golden.lineage);
+    EXPECT_EQ(plan::RenderDiagnostics(inspected->race_findings),
+              golden.races);
+    ASSERT_TRUE(inspected->resources.has_value());
+    EXPECT_EQ(plan::RenderDiagnostics(inspected->resources->findings) +
+                  plan::RenderEnvelope(*inspected->resources),
+              golden.resources);
+  }
+}
+
+TEST(InspectTest, PureTiersNeverExecute) {
+  SparkContext sc(SmallCluster());
+  auto engine = LoadedVariant("SPARQLGX", &sc);
+  ASSERT_NE(engine, nullptr);
+  sparql::Query query = CorpusQuery(rdf::QueryShape::kSnowflake);
+  spark::Metrics before = sc.metrics();
+  auto inspected = engine->Inspect(query, kTierQuery | kTierPlan);
+  ASSERT_TRUE(inspected.ok());
+  spark::Metrics delta = sc.metrics() - before;
+  EXPECT_EQ(delta.tasks.value(), 0u);
+  EXPECT_EQ(delta.jobs.value(), 0u);
+  ASSERT_NE(inspected->plan, nullptr);
+  EXPECT_EQ(inspected->plan->actuals, nullptr);
+  EXPECT_FALSE(inspected->lineage.has_value());
+  EXPECT_FALSE(inspected->resources.has_value());
+}
+
+TEST(InspectTest, TierAlphabetRoundTrips) {
+  auto all = ParseTiers("A,P,B,C,D");
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(*all, kAllTiers);
+  EXPECT_EQ(TierLetters(*all), "APBCD");
+  auto subset = ParseTiers("dp a");
+  ASSERT_TRUE(subset.ok());
+  EXPECT_EQ(*subset, kTierQuery | kTierPlan | kTierResources);
+  EXPECT_EQ(TierLetters(*subset), "APD");
+  EXPECT_FALSE(ParseTiers("A,E").ok());
+  EXPECT_FALSE(ParseTiers(",").ok());
 }
 
 }  // namespace

@@ -361,6 +361,34 @@ TEST(QueryServerTest, S2xPlansBypassTheCache) {
   EXPECT_EQ(stats.entries, 0u);
 }
 
+TEST(QueryServerTest, NonBgpQueriesBypassWithoutAMiss) {
+  rdf::TripleStore store = SmallLubm();
+  spark::SparkContext sc;
+  QueryServer::Options options = QuietOptions(2);
+  options.variants = {"S2RDF"};  // BGP+: runs FILTER driver-side.
+  QueryServer server(&sc, options);
+  ASSERT_TRUE(server.AttachDataset(store).ok());
+  int session = server.OpenSession("filter");
+  std::string query = rdf::LubmShapeQuery(rdf::QueryShape::kComplex);
+
+  // The FILTER puts the query outside the cacheable fragment: each request
+  // counts once, as a bypass, and never also as a miss — so hits + misses
+  // + bypasses equals the requests served.
+  const uint64_t requests = 3;
+  for (uint64_t i = 0; i < requests; ++i) {
+    RequestResult result = server.Execute(session, "S2RDF", query);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_FALSE(result.cache_hit);
+    EXPECT_TRUE(result.cache_bypass);
+  }
+  PlanCacheStats stats = server.plan_cache_stats();
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.bypasses, requests);
+  EXPECT_EQ(stats.hits + stats.misses + stats.bypasses, requests);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(server.tenant_stats("filter").cache_bypasses, requests);
+}
+
 TEST(PlanCacheTest, LruEvictionAtCapacity) {
   PlanCache cache(/*capacity=*/2);
   auto plan = [] {
@@ -533,54 +561,7 @@ TEST(PlanCacheTest, EpochIsPartOfTheKey) {
   EXPECT_EQ(cache.stats().invalidations, 1u);
 }
 
-// ---- Tier D: byte-budgeted cache eviction and the admission gate. --------
-
-TEST(PlanCacheTest, ByteBudgetDrivesEviction) {
-  PlanCache cache(/*capacity=*/16, /*byte_budget=*/1000);
-  auto plan = [] {
-    return std::shared_ptr<const systems::plan::PlanNode>(
-        new systems::plan::PlanNode());
-  };
-  cache.Put("e", "q1", 1, plan(), 400);
-  cache.Put("e", "q2", 1, plan(), 400);
-  EXPECT_EQ(cache.stats().resident_bytes, 800u);
-  cache.Put("e", "q3", 1, plan(), 400);  // 1200 > 1000: q1 evicted.
-  PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(cache.Get("e", "q1", 1), nullptr);
-  EXPECT_NE(cache.Get("e", "q2", 1), nullptr);
-  EXPECT_NE(cache.Get("e", "q3", 1), nullptr);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.resident_bytes, 800u);
-  EXPECT_EQ(stats.evicted_bytes, 400u);
-}
-
-TEST(PlanCacheTest, NewestEntrySurvivesAnOverBudgetEnvelope) {
-  // One plan whose envelope alone exceeds the budget still caches: the
-  // most recent entry is never evicted, so a hot over-budget query does
-  // not thrash the cache it needs.
-  PlanCache cache(/*capacity=*/16, /*byte_budget=*/1000);
-  auto plan = [] {
-    return std::shared_ptr<const systems::plan::PlanNode>(
-        new systems::plan::PlanNode());
-  };
-  cache.Put("e", "small", 1, plan(), 100);
-  cache.Put("e", "huge", 1, plan(), 5000);  // Evicts small, keeps itself.
-  PlanCacheStats stats = cache.stats();
-  EXPECT_NE(cache.Get("e", "huge", 1), nullptr);
-  EXPECT_EQ(cache.Get("e", "small", 1), nullptr);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.resident_bytes, 5000u);
-}
-
-TEST(PlanCacheTest, UnboundedPlansChargeNothing) {
-  PlanCache cache(/*capacity=*/16, /*byte_budget=*/1000);
-  auto plan = std::shared_ptr<const systems::plan::PlanNode>(
-      new systems::plan::PlanNode());
-  cache.Put("e", "q", 1, plan, /*envelope_bytes=*/0);
-  EXPECT_EQ(cache.stats().resident_bytes, 0u);
-  EXPECT_EQ(cache.stats().entries, 1u);
-}
+// ---- Tier D: the admission gate. ------------------------------------------
 
 TEST(QueryServerBudgetTest, GateRejectsAgainstTheQuerysOwnEnvelope) {
   rdf::TripleStore store = SmallLubm();

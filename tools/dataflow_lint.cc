@@ -2,17 +2,22 @@
 // engine variants (nine engines, the Hybrid one in its four modes).
 //
 // For every engine variant and every query of the LUBM corpus (star, chain,
-// snowflake, complex) this runs the four tiers of the dataflow lint:
+// snowflake, complex) this runs the five tiers of the dataflow lint through
+// one BgpEngineBase::Inspect call per cell, which plans the query's BGP once
+// and executes it at most once:
 //
 //   Tier A  query analysis (QA rules, sparql/analysis.h): pure rules over
 //           the parsed AST, parameterized by the engine's storage layout.
+//   Tier P  plan verifier (SC/CP/BC/ST/VP rules, systems/plan/verifier.h):
+//           the engine's physical plan checked against its documented
+//           storage layout — the Table II companion. Pure, like EXPLAIN.
 //   Tier B  lineage analysis (LN rules, spark/lineage.h): the query's BGP
 //           is executed once with actuals collection, the RDD lineage DAG
 //           the run built is snapshotted, and the lineage rules inspect it
 //           for recompute hazards, redundant shuffles and deep stage
 //           chains.
 //   Tier C  happens-before race & determinism analysis (RC/DT rules,
-//           spark/hb.h): every cell executes inside a recorder window;
+//           spark/hb.h): that one run executes inside a recorder window;
 //           conflicting shared-object accesses that no declared
 //           synchronization orders are reported regardless of which
 //           interleaving actually ran. Two extra Tier C rows run after the
@@ -22,8 +27,8 @@
 //   Tier D  resource envelope analysis (RS rules, systems/plan/resource.h):
 //           each plan's per-operator byte envelope is derived statically
 //           (pure, like EXPLAIN), the cache-retention rule inspects the
-//           lineage snapshot, and one profiled execution provides the
-//           observed bytes the envelope is drift-checked against. The
+//           lineage snapshot, and the same run provides the observed
+//           bytes the envelope is drift-checked against. The
 //           footprint matrix prints "static output envelope / observed
 //           bytes" per cell, and --footprint-dir writes the corpus totals
 //           as bench_gate-compatible artifacts. Two ratios are gated in
@@ -46,7 +51,8 @@
 //   $ ./dataflow_lint --json            # machine-readable (RFC 8259)
 //   $ ./dataflow_lint --threads=1       # executor pool width (0 = default)
 //   $ ./dataflow_lint --serving-workers=1  # serving-row driver threads
-//   $ ./dataflow_lint --tier=A,D        # run a subset of the tiers
+//   $ ./dataflow_lint --tier=A,D        # a subset of A,P,B,C,D
+//   $ ./dataflow_lint --tier=P          # plan verifier only
 //   $ ./dataflow_lint --footprint-dir=artifacts  # Tier D byte artifacts
 //
 // Exit status is 1 when any ERROR-level finding (or engine failure)
@@ -59,7 +65,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,7 +74,6 @@
 #include "serving/query_server.h"
 #include "spark/context.h"
 #include "spark/hb.h"
-#include "spark/lineage.h"
 #include "sparql/parser.h"
 #include "systems/engine.h"
 #include "systems/plan/diagnostics.h"
@@ -81,7 +85,7 @@ using namespace rdfspark;
 using systems::plan::Diagnostic;
 using systems::plan::Severity;
 
-/// Same dataset as plan_lint and the golden EXPLAIN tests.
+/// Same dataset as the golden EXPLAIN tests.
 rdf::TripleStore MakeDataset() {
   rdf::TripleStore store;
   rdf::LubmConfig cfg;
@@ -98,6 +102,7 @@ rdf::TripleStore MakeDataset() {
 /// One analyzed (engine, query) cell.
 struct Cell {
   std::vector<Diagnostic> query_findings;     // Tier A
+  std::vector<Diagnostic> plan_findings;      // Tier P
   std::vector<Diagnostic> lineage_findings;   // Tier B
   std::vector<Diagnostic> race_findings;      // Tier C
   std::vector<Diagnostic> resource_findings;  // Tier D (RS rules)
@@ -121,8 +126,8 @@ std::string Summarize(const Cell& cell) {
   if (cell.failed) return "error";
   std::map<std::string, std::map<char, int>> counts;
   for (const auto* tier :
-       {&cell.query_findings, &cell.lineage_findings, &cell.race_findings,
-        &cell.resource_findings}) {
+       {&cell.query_findings, &cell.plan_findings, &cell.lineage_findings,
+        &cell.race_findings, &cell.resource_findings}) {
     for (const auto& d : *tier) {
       char sev = systems::plan::SeverityName(d.severity)[0];  // E/W/I
       ++counts[d.rule][sev];
@@ -264,7 +269,7 @@ int main(int argc, char** argv) {
   bool json = false;
   int threads = 0;
   int serving_workers = 3;
-  bool tier_a = true, tier_b = true, tier_c = true, tier_d = true;
+  systems::Tiers tiers = systems::kAllTiers;
   std::string footprint_dir;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
@@ -274,34 +279,26 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--serving-workers=", 18) == 0) {
       serving_workers = std::atoi(argv[i] + 18);
     } else if (std::strncmp(argv[i], "--tier=", 7) == 0) {
-      tier_a = tier_b = tier_c = tier_d = false;
-      bool bad = false;
-      for (const char* p = argv[i] + 7; *p != '\0'; ++p) {
-        char u = (*p >= 'a' && *p <= 'z') ? static_cast<char>(*p - 'a' + 'A')
-                                          : *p;
-        if (u == ',' || u == ' ') continue;
-        if (u == 'A') tier_a = true;
-        else if (u == 'B') tier_b = true;
-        else if (u == 'C') tier_c = true;
-        else if (u == 'D') tier_d = true;
-        else bad = true;
-      }
-      if (bad || !(tier_a || tier_b || tier_c || tier_d)) {
-        std::fprintf(stderr, "invalid --tier value '%s' (tiers are A-D)\n",
-                     argv[i] + 7);
+      auto parsed = systems::ParseTiers(argv[i] + 7);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "invalid --tier value: %s\n",
+                     parsed.status().ToString().c_str());
         return 2;
       }
+      tiers = *parsed;
     } else if (std::strncmp(argv[i], "--footprint-dir=", 16) == 0) {
       footprint_dir = argv[i] + 16;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json] [--threads=N] [--serving-workers=N] "
-                   "[--tier=A,B,C,D] [--footprint-dir=DIR]\n",
+                   "[--tier=A,P,B,C,D] [--footprint-dir=DIR]\n",
                    argv[0]);
       return 2;
     }
   }
 
+  const bool tier_c = (tiers & systems::kTierRaces) != 0;
+  const bool tier_d = (tiers & systems::kTierResources) != 0;
   rdf::TripleStore store = MakeDataset();
   auto corpus = rdf::LubmQueryMix();
   auto factories = systems::AllEngineVariantFactories();
@@ -324,85 +321,44 @@ int main(int argc, char** argv) {
       if (!loaded.ok()) {
         cell.failed = true;
         cell.failure = "load failed: " + loaded.status().ToString();
+      } else if (auto query = sparql::ParseQuery(text); !query.ok()) {
+        cell.failed = true;
+        cell.failure = query.status().ToString();
+      } else if (auto inspected = engine->Inspect(*query, tiers);
+                 !inspected.ok()) {
+        cell.failed = true;
+        cell.failure = inspected.status().ToString();
       } else {
-        if (tier_a) {
-          auto query_findings = engine->AnalyzeQueryText(text);  // Pure.
-          if (!query_findings.ok()) {
-            cell.failed = true;
-            cell.failure = query_findings.status().ToString();
-          } else {
-            cell.query_findings = std::move(*query_findings);
-          }
+        cell.query_findings = std::move(inspected->query_findings);
+        cell.plan_findings = std::move(inspected->plan_findings);
+        cell.lineage_findings = std::move(inspected->lineage_findings);
+        cell.race_findings = std::move(inspected->race_findings);
+        if (tiers & systems::kTierLineage) {
+          cell.lineage_nodes =
+              static_cast<int>(inspected->lineage->nodes().size());
+          cell.lineage_shuffles = inspected->lineage->ShuffleCount();
         }
-        std::optional<spark::LineageGraph> graph;
-        if (!cell.failed && (tier_b || tier_c || tier_d)) {
-          // Tier C window per cell: the lineage run below is also the race
-          // checker's workload. Reset happens on the driver with no tasks
-          // in flight, which is the recorder's quiescence contract.
-          spark::hb::ScopedRaceCheck window(/*active=*/tier_c);
-          auto captured = engine->CaptureLineage(text);
-          if (tier_c) cell.race_findings = window.Finish();
-          if (!captured.ok()) {
-            cell.failed = true;
-            cell.failure = captured.status().ToString();
-          } else {
-            graph = std::move(*captured);
-            if (tier_b) {
-              cell.lineage_findings = graph->Analyze();
-              cell.lineage_nodes = static_cast<int>(graph->nodes().size());
-              cell.lineage_shuffles = graph->ShuffleCount();
-            }
-          }
-        }
-        if (!cell.failed && tier_d) {
-          auto analysis = engine->ResourceEnvelope(text);  // Pure.
-          if (!analysis.ok()) {
-            cell.failed = true;
-            cell.failure = analysis.status().ToString();
-          } else {
-            cell.resource_findings = std::move(analysis->findings);
-            cell.envelope_bounded = analysis->bounded;
-            cell.envelope_peak_bytes = analysis->peak_bytes;
-            cell.envelope_output_bytes = analysis->output_bytes;
-            // RS004 inspects the lineage snapshot of the profiled run.
-            if (graph) {
-              for (auto& d : graph->AnalyzeRetention()) {
-                cell.resource_findings.push_back(std::move(d));
-              }
-            }
-            // RS006: one profiled execution provides the observed bytes
-            // the static envelope is drift-checked against.
-            auto analyzed = engine->ExecuteAnalyzed(text);
-            if (!analyzed.ok()) {
-              cell.failed = true;
-              cell.failure = analyzed.status().ToString();
-            } else {
-              auto observed = systems::plan::ObserveFootprint(**analyzed);
-              cell.observed_bytes = observed.output_bytes;
-              if (cell.envelope_bounded) {
-                for (auto& d : systems::plan::DriftFindings(
-                         cell.envelope_output_bytes, observed)) {
-                  cell.resource_findings.push_back(std::move(d));
-                }
-              }
-              // Scan calibration pairs leaf envelopes with leaf actuals
-              // over the analyzed tree itself (exact pre-order alignment).
-              auto query = sparql::ParseQuery(text);
-              if (query.ok()) {
-                auto aligned =
-                    engine->AnalyzePlanResources(*query, **analyzed);
-                auto calib =
-                    systems::plan::CalibrateScans(**analyzed, aligned);
-                cell.scan_envelope_bytes = calib.envelope_bytes;
-                cell.scan_observed_bytes = calib.observed_bytes;
-                cell.scan_leaves = calib.leaves;
-              }
-            }
-          }
+        if (tier_d) {
+          const systems::plan::ResourceAnalysis& analysis =
+              *inspected->resources;
+          cell.envelope_bounded = analysis.bounded;
+          cell.envelope_peak_bytes = analysis.peak_bytes;
+          cell.envelope_output_bytes = analysis.output_bytes;
+          // The analyzed plan is the one the envelope was derived from,
+          // so leaf envelopes and leaf actuals align in pre-order.
+          const systems::plan::PlanNode& analyzed = *inspected->plan;
+          cell.observed_bytes =
+              systems::plan::ObserveFootprint(analyzed).output_bytes;
+          auto calib = systems::plan::CalibrateScans(analyzed, analysis);
+          cell.scan_envelope_bytes = calib.envelope_bytes;
+          cell.scan_observed_bytes = calib.observed_bytes;
+          cell.scan_leaves = calib.leaves;
+          cell.resource_findings = std::move(inspected->resources->findings);
         }
       }
       any_error |= cell.failed;
       any_error |= systems::plan::HasError(cell.query_findings);
+      any_error |= systems::plan::HasError(cell.plan_findings);
       any_error |= systems::plan::HasError(cell.lineage_findings);
       any_error |= systems::plan::HasError(cell.race_findings);
       any_error |= systems::plan::HasError(cell.resource_findings);
@@ -485,11 +441,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string tiers_label;
-  if (tier_a) tiers_label += "A";
-  if (tier_b) tiers_label += "B";
-  if (tier_c) tiers_label += "C";
-  if (tier_d) tiers_label += "D";
+  const std::string tiers_label = systems::TierLetters(tiers);
+  const bool tier_p = (tiers & systems::kTierPlan) != 0;
 
   if (json) {
     std::string out = "{\n  \"tool\": \"dataflow_lint\",\n  \"tiers\": \"" +
@@ -532,6 +485,7 @@ int main(int argc, char** argv) {
         out += ", \"findings\": [";
         bool first = true;
         AppendJsonFindings("query", cell.query_findings, &first, &out);
+        AppendJsonFindings("plan", cell.plan_findings, &first, &out);
         AppendJsonFindings("lineage", cell.lineage_findings, &first, &out);
         AppendJsonFindings("race", cell.race_findings, &first, &out);
         AppendJsonFindings("resource", cell.resource_findings, &first, &out);
@@ -583,8 +537,9 @@ int main(int argc, char** argv) {
     return any_error ? 1 : 0;
   }
 
-  std::printf("dataflow_lint: query + lineage + race + resource analysis "
-              "over the LUBM corpus (tiers %s)\n", tiers_label.c_str());
+  std::printf("dataflow_lint: query + %slineage + race + resource analysis "
+              "over the LUBM corpus (tiers %s)\n", tier_p ? "plan + " : "",
+              tiers_label.c_str());
   std::printf("dataset: %zu triples (1 university)\n\n", store.size());
   std::printf("%-26s %-14s %-14s %-14s %-14s\n", "engine",
               rdf::QueryShapeName(corpus[0].first),
@@ -611,6 +566,7 @@ int main(int argc, char** argv) {
         continue;
       }
       std::vector<Diagnostic> all = cell.query_findings;
+      for (const auto& d : cell.plan_findings) all.push_back(d);
       for (const auto& d : cell.lineage_findings) all.push_back(d);
       for (const auto& d : cell.race_findings) all.push_back(d);
       for (const auto& d : cell.resource_findings) all.push_back(d);
@@ -675,7 +631,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nrules: QA001 dead/unprojectable vars, QA002 unsatisfiable "
       "filters, QA003 non-well-designed OPTIONAL, QA004 disconnected BGP, "
-      "QA005 unbounded predicate on VP; LN001 uncached reuse, LN002 "
+      "QA005 unbounded predicate on VP; %sLN001 uncached reuse, LN002 "
       "redundant shuffle, LN003 deep shuffle chain; RC001 unsynchronized "
       "conflicting access, RC002 publication without barrier, RC003 "
       "eviction vs pooled access; DT001 completion-order-dependent "
@@ -684,6 +640,10 @@ int main(int argc, char** argv) {
       "over executor budget, RS002 peak envelope over cluster budget, RS003 "
       "unbounded envelope at a blocking operator, RS004 retention dominated "
       "by a never-reread RDD, RS005 superlinear working set, RS006 envelope "
-      "drift vs actuals\n");
+      "drift vs actuals\n",
+      tier_p ? "SC001/SC002 schema soundness, CP001 cartesian fallback, "
+               "BC001 broadcast size, ST001 star locality, VP001 "
+               "unbounded-predicate scan; "
+             : "");
   return any_error ? 1 : 0;
 }

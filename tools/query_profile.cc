@@ -4,7 +4,7 @@
 // every reproduced engine with per-operator actuals collection and prints
 // a per-engine runtime profile: result rows, simulated time, shuffle and
 // join work, task-duration skew. The EXPLAIN ANALYZE companion to
-// plan_lint's static matrix — here everything *is* executed.
+// dataflow_lint's static tier P matrix — here everything *is* executed.
 //
 //   $ ./query_profile                  # human-readable matrix
 //   $ ./query_profile --json           # machine-readable (RFC 8259) dump
@@ -27,6 +27,7 @@
 #include "rdf/store.h"
 #include "systems/s2rdf.h"
 #include "spark/context.h"
+#include "sparql/parser.h"
 #include "systems/engine.h"
 #include "systems/plan/plan.h"
 
@@ -42,7 +43,7 @@ spark::ClusterConfig SmallCluster() {
   return cfg;
 }
 
-/// Same dataset as plan_lint and the golden tests: one LUBM university.
+/// Same dataset as dataflow_lint and the golden tests: one LUBM university.
 rdf::TripleStore MakeDataset() {
   rdf::TripleStore store;
   rdf::LubmConfig cfg;
@@ -130,8 +131,13 @@ Profile RunOne(const systems::EngineVariantFactory& factory,
     p.error = loaded.status().ToString();
     return p;
   }
+  auto query = sparql::ParseQuery(shape.text);
+  if (!query.ok()) {
+    p.error = query.status().ToString();
+    return p;
+  }
   spark::Metrics before = sc.metrics();
-  auto root = engine->ExecuteAnalyzed(shape.text);
+  auto root = engine->ExecuteAnalyzed(*query);
   if (!root.ok()) {
     p.error = root.status().ToString();
     return p;

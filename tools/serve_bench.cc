@@ -12,7 +12,6 @@
 //   $ ./serve_bench --warmup=5                       # warm/cold split
 //   $ ./serve_bench --threads=8 --telemetry-dir=/tmp/telemetry
 //   $ ./serve_bench --memory-budget=100000           # Tier D admission gate
-//   $ ./serve_bench --cache-bytes=500000             # plan-cache byte budget
 //
 // Closed loop: one driver thread per tenant keeps exactly one request in
 // flight (submit → wait → submit), the classic closed system model. Open
@@ -70,7 +69,6 @@ struct Config {
   double audit_ms = 0;        // Slow-query latency threshold (simulated ms).
   double audit_err = 0;       // Cardinality-estimate error trigger factor.
   uint64_t memory_budget = 0;  // Tier D admission budget in bytes (0 = env).
-  uint64_t cache_bytes = 0;    // Plan-cache byte budget (0 = entries only).
 };
 
 std::vector<std::string> SplitCsv(const std::string& s) {
@@ -125,8 +123,6 @@ bool ParseArgs(int argc, char** argv, Config* cfg) {
       cfg->audit_err = std::atof(v);
     } else if (const char* v = value("--memory-budget")) {
       cfg->memory_budget = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--cache-bytes")) {
-      cfg->cache_bytes = std::strtoull(v, nullptr, 10);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
@@ -182,7 +178,6 @@ int main(int argc, char** argv) {
   }
   // The flag overrides the RDFSPARK_MEMORY_BUDGET default Options picked up.
   if (cfg.memory_budget > 0) options.memory_budget_bytes = cfg.memory_budget;
-  if (cfg.cache_bytes > 0) options.plan_cache_byte_budget = cfg.cache_bytes;
   serving::QueryServer server(&sc, options);
   Status attached = server.AttachDataset(store);
   if (!attached.ok()) {
@@ -385,13 +380,11 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "plan cache: %llu hits, %llu misses, %llu bypasses "
-      "(hit rate %.0f%%), %llu resident (%lluB held, %lluB evicted)\n",
+      "(hit rate %.0f%%), %llu resident\n",
       static_cast<unsigned long long>(cache.hits),
       static_cast<unsigned long long>(cache.misses),
       static_cast<unsigned long long>(cache.bypasses), hit_rate * 100.0,
-      static_cast<unsigned long long>(cache.entries),
-      static_cast<unsigned long long>(cache.resident_bytes),
-      static_cast<unsigned long long>(cache.evicted_bytes));
+      static_cast<unsigned long long>(cache.entries));
   uint64_t total_budget_rejects = 0;
   for (size_t i = 0; i < budget_rejected.size(); ++i) {
     if (budget_rejected[i]) ++total_budget_rejects;
@@ -426,8 +419,6 @@ int main(int argc, char** argv) {
   json.Add("total", "cache_misses", static_cast<double>(cache.misses));
   json.Add("total", "cache_bypasses", static_cast<double>(cache.bypasses));
   json.Add("total", "cache_hit_rate", hit_rate);
-  json.Add("total", "cache_resident_bytes",
-           static_cast<double>(cache.resident_bytes));
   json.Add("total", "budget_rejected",
            static_cast<double>(total_budget_rejects));
   if (cfg.warmup > 0) {
